@@ -78,11 +78,75 @@ pub fn total_lag(sys: &TaskSystem, sched: &Schedule, t: Time) -> Rat {
         .sum()
 }
 
+/// `LAG(τ, t)` at every integral `t` in `0..=last`: entry `t` equals
+/// `total_lag(sys, sched, t)` (empty if `last < 0`).
+///
+/// Each slot is evaluated from the definition, independently of every
+/// other slot, but over lists built once per schedule: the
+/// `(release, deadline)` windows sorted by release, and the
+/// `(start, cost, completion)` quanta in commencement order. At slot `t` a
+/// window released at or before `t − w` (`w` the longest window) is whole,
+/// and one released at or after `t` contributes nothing; likewise a
+/// quantum started at or before `t − c` (`c` the largest cost) has
+/// finished, and one started at or after `t` has delivered nothing. Those
+/// are counted as integers; only the windows and quanta between the two
+/// bounds are inspected, and `Rat` arithmetic is spent only on the windows
+/// and quanta actually in progress at `t`.
+#[must_use]
+pub fn lag_series(sys: &TaskSystem, sched: &Schedule, last: i64) -> Vec<Rat> {
+    let mut windows: Vec<(i64, i64)> = sys
+        .subtasks()
+        .iter()
+        .map(|s| (s.release, s.deadline))
+        .collect();
+    windows.sort_unstable();
+    let longest = windows.iter().map(|&(r, d)| d - r).max().unwrap_or(0);
+    let quanta: Vec<(Time, Rat, Time)> = sched
+        .placements()
+        .iter()
+        .map(|p| (p.start, p.cost, p.completion()))
+        .collect();
+    let largest = quanta.iter().map(|q| q.1).max().unwrap_or(Rat::ZERO);
+
+    (0..=last)
+        .map(|t| {
+            let tr = Rat::int(t);
+
+            let lo = windows.partition_point(|&(r, _)| r <= t - longest);
+            let hi = windows.partition_point(|&(r, _)| r < t);
+            let mut whole = lo;
+            let mut partial = Rat::ZERO;
+            for &(r, d) in &windows[lo..hi] {
+                if t >= d {
+                    whole += 1;
+                } else {
+                    partial += Rat::new(t - r, d - r);
+                }
+            }
+
+            let since = tr - largest;
+            let lo = quanta.partition_point(|q| q.0 <= since);
+            let hi = quanta.partition_point(|q| q.0 < tr);
+            let mut finished = lo;
+            let mut running = Rat::ZERO;
+            for &(start, cost, completion) in &quanta[lo..hi] {
+                if tr >= completion {
+                    finished += 1;
+                } else {
+                    running += (tr - start) / cost;
+                }
+            }
+
+            Rat::int(whole as i64 - finished as i64) + partial - running
+        })
+        .collect()
+}
+
 /// Maximum of `LAG(τ, t)` over all integral `t` in `[0, horizon]`.
 #[must_use]
 pub fn max_lag_over_slots(sys: &TaskSystem, sched: &Schedule, horizon: i64) -> Rat {
-    (0..=horizon)
-        .map(|t| total_lag(sys, sched, Rat::int(t)))
+    lag_series(sys, sched, horizon)
+        .into_iter()
         .max()
         .unwrap_or(Rat::ZERO)
 }

@@ -62,7 +62,9 @@ pub use compliance::{k_compliant_system, ranks};
 pub use demand::{dbf, find_overload, OverloadWitness};
 pub use displacement::{displacement, displacement_stats, DisplacementStats};
 pub use jobs::{all_jobs, jobs_of, Job};
-pub use lag::{ideal_allocation, max_lag_over_slots, received_allocation, task_lag, total_lag};
+pub use lag::{
+    ideal_allocation, lag_series, max_lag_over_slots, received_allocation, task_lag, total_lag,
+};
 pub use lemmas::{check_lemma1, Lemma1Violation};
 pub use overhead::{
     contention_profile, context_switch_stats, migration_stats, peak_simultaneous_starts,

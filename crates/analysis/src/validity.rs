@@ -14,9 +14,10 @@
 //!   that violation, bounded by one quantum, is the paper's subject.
 
 use core::fmt;
+use std::collections::BTreeMap;
 
 use pfair_numeric::{Rat, Time};
-use pfair_sim::{QuantumModel, Schedule};
+use pfair_sim::{Placement, QuantumModel, Schedule};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
 /// A violated schedule invariant.
@@ -127,22 +128,31 @@ impl std::error::Error for ValidityError {}
 pub fn check_structural(sys: &TaskSystem, sched: &Schedule) -> Vec<ValidityError> {
     let mut errors = Vec::new();
 
-    // Per-processor exclusivity: placements are start-sorted already.
-    for proc in 0..sched.m() {
-        let mut prev: Option<&pfair_sim::Placement> = None;
-        for p in sched.on_processor(proc) {
-            if let Some(q) = prev {
-                if p.start < q.holds_until.max(q.completion()) {
-                    errors.push(ValidityError::ProcessorOverlap {
-                        proc,
-                        first: q.st,
-                        second: p.st,
-                    });
-                }
+    // Per-processor exclusivity in one pass over the start-sorted
+    // placements, remembering the last quantum seen on each processor.
+    // Overlaps are reported grouped by processor (ascending), in time order
+    // within each: the stable sort keeps the pass's time order.
+    let mut last: Vec<Option<&Placement>> = vec![None; sched.m() as usize];
+    let mut overlaps = Vec::new();
+    for p in sched.placements() {
+        let Some(prev) = last.get_mut(p.proc as usize) else {
+            continue;
+        };
+        if let Some(q) = *prev {
+            if p.start < q.holds_until.max(q.completion()) {
+                overlaps.push((p.proc, q.st, p.st));
             }
-            prev = Some(p);
         }
+        *prev = Some(p);
     }
+    overlaps.sort_by_key(|&(proc, _, _)| proc);
+    errors.extend(overlaps.into_iter().map(|(proc, first, second)| {
+        ValidityError::ProcessorOverlap {
+            proc,
+            first,
+            second,
+        }
+    }));
 
     for (st, s) in sys.iter_refs() {
         let start = sched.start(st);
@@ -175,7 +185,8 @@ pub fn check_structural(sys: &TaskSystem, sched: &Schedule) -> Vec<ValidityError
             }
         }
         // ≤ M per slot (placements have unit holds, so count by start slot).
-        let mut counts: std::collections::HashMap<i64, usize> = std::collections::HashMap::new();
+        // Counted in slot order, so the errors come back in ascending slots.
+        let mut counts: BTreeMap<i64, usize> = BTreeMap::new();
         for p in sched.placements() {
             *counts.entry(p.start.floor()).or_default() += 1;
         }
@@ -264,6 +275,75 @@ mod tests {
         let sys = fig2_system();
         let sched = simulate_sfq(&sys, 2, &Epdf, &mut FullQuantum);
         assert!(check_window_containment(&sys, &sched).is_empty());
+    }
+
+    /// The Fig. 2 subtasks placed by hand on two processors, one slot per
+    /// entry of `slots` with the processor from `procs`, full quanta:
+    /// slots 0 and 5 hold three subtasks each, processor 1 is doubled in
+    /// slot 0 and processor 0 in slot 5.
+    fn overfull_sfq_schedule(sys: &TaskSystem) -> Schedule {
+        let slots = [0, 0, 0, 1, 2, 2, 3, 3, 4, 5, 5, 5];
+        let procs = [1, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1];
+        let placements = sys
+            .iter_refs()
+            .zip(slots.iter().zip(&procs))
+            .map(|((st, _), (&slot, &proc))| Placement {
+                st,
+                proc,
+                start: Rat::int(slot),
+                cost: Rat::ONE,
+                holds_until: Rat::int(slot + 1),
+            })
+            .collect();
+        Schedule::new(sys, QuantumModel::Sfq, 2, placements)
+    }
+
+    #[test]
+    fn too_many_in_slot_errors_come_back_in_slot_order() {
+        let sys = fig2_system();
+        let sched = overfull_sfq_schedule(&sys);
+        let over: Vec<_> = check_structural(&sys, &sched)
+            .into_iter()
+            .filter(|e| matches!(e, ValidityError::TooManyInSlot { .. }))
+            .collect();
+        assert_eq!(
+            over,
+            vec![
+                ValidityError::TooManyInSlot { slot: 0, count: 3 },
+                ValidityError::TooManyInSlot { slot: 5, count: 3 },
+            ]
+        );
+    }
+
+    #[test]
+    fn overlaps_grouped_by_processor_in_time_order() {
+        let sys = fig2_system();
+        let sched = overfull_sfq_schedule(&sys);
+        let overlaps: Vec<_> = check_structural(&sys, &sched)
+            .into_iter()
+            .filter(|e| matches!(e, ValidityError::ProcessorOverlap { .. }))
+            .collect();
+        // The per-processor scan the single pass replaces.
+        let mut want = Vec::new();
+        for proc in 0..sched.m() {
+            let on_proc: Vec<_> = sched.on_processor(proc).collect();
+            for pair in on_proc.windows(2) {
+                if pair[1].start < pair[0].holds_until.max(pair[0].completion()) {
+                    want.push(ValidityError::ProcessorOverlap {
+                        proc,
+                        first: pair[0].st,
+                        second: pair[1].st,
+                    });
+                }
+            }
+        }
+        // Processor 0's overlap (slot 5) precedes processor 1's (slot 0).
+        assert_eq!(overlaps.len(), 2);
+        assert!(matches!(
+            overlaps[0],
+            ValidityError::ProcessorOverlap { proc: 0, .. }
+        ));
+        assert_eq!(overlaps, want);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pfair_analysis::{
-    check_structural, check_window_containment, detect_blocking, flow_schedulable,
-    max_lag_over_slots, tardiness_histogram, tardiness_stats, total_lag, BlockingKind, WindowMode,
+    check_structural, check_window_containment, detect_blocking, flow_schedulable, lag_series,
+    tardiness_histogram, tardiness_stats, BlockingKind, WindowMode,
 };
 use pfair_core::pdb;
 use pfair_core::priority::ComparatorOnly;
@@ -896,7 +896,7 @@ impl Invariant for OnlineOfflineEquivalence {
 /// Streaming observability must agree exactly with post-hoc analysis on
 /// the same run: the engine's streaming blocking detector against
 /// `detect_blocking`, and the streaming lag/metrics observers against
-/// `total_lag` / `max_lag_over_slots` / `tardiness_stats` /
+/// `lag_series` (one post-hoc pass per schedule) / `tardiness_stats` /
 /// `tardiness_histogram` — rational equality throughout, no tolerance.
 #[derive(Debug)]
 struct StreamingPosthocAgreement;
@@ -962,15 +962,24 @@ impl StreamingPosthocAgreement {
         for (label, probe) in [("sfq", ProbeSim::Sfq), ("dvq", ProbeSim::Dvq)] {
             let (sched, series, max) =
                 (engines.lag_probe)(sys, m, engines.keyed_order, &mut case.cost_model(), probe);
+            // One post-hoc pass covers the horizon and every slot the
+            // stream reports (a tardy DVQ run reports slots past `h`).
+            let last = series.iter().map(|&(t, _)| t).fold(h, i64::max);
+            let posthoc = lag_series(sys, &sched, last);
             for &(t, l) in &series {
-                let want = total_lag(sys, &sched, Rat::int(t));
+                let want = posthoc[usize::try_from(t).expect("streamed slots start at 0")];
                 if l != want {
                     return Err(format!(
                         "{label}: streaming LAG({t}) = {l:?}, post-hoc = {want:?}"
                     ));
                 }
             }
-            let want_max = max_lag_over_slots(sys, &sched, h);
+            let want_max = posthoc
+                .iter()
+                .take(usize::try_from(h + 1).unwrap_or(0))
+                .copied()
+                .max()
+                .unwrap_or(Rat::ZERO);
             if max != want_max {
                 return Err(format!(
                     "{label}: streaming max LAG {max:?} vs post-hoc {want_max:?}"

@@ -8,14 +8,15 @@ use pfair_taskmodel::TaskSystem;
 /// state proportional to the number of *active* windows and in-flight
 /// quanta instead of the whole trace.
 ///
-/// Replicates `pfair-analysis::lag::{total_lag, max_lag_over_slots}`
-/// exactly: the ideal allocation of a window `[r, d)` at integral `t` is
-/// `1` once `t ≥ d`, `(t − r)/(d − r)` while `r < t < d`, and `0` before;
-/// the received allocation of a quantum is `1` once `t ≥ completion` and
-/// `(t − start)/cost` while `start < t < completion`. Exact `Rat`
-/// arithmetic makes summation order irrelevant, so the streaming totals are
-/// equal — not approximately equal — to the post-hoc ones
-/// (`tests/observer_equivalence.rs`).
+/// Replicates `pfair-analysis::lag::lag_series` exactly (the post-hoc
+/// reference the conformance bank compares against, itself pinned slot by
+/// slot to `total_lag`): the ideal allocation of a window `[r, d)` at
+/// integral `t` is `1` once `t ≥ d`, `(t − r)/(d − r)` while `r < t < d`,
+/// and `0` before; the received allocation of a quantum is `1` once
+/// `t ≥ completion` and `(t − start)/cost` while `start < t < completion`.
+/// Exact `Rat` arithmetic makes summation order irrelevant, so the
+/// streaming totals are equal — not approximately equal — to the post-hoc
+/// ones (`tests/observer_equivalence.rs`).
 ///
 /// A slot `s` is evaluated as soon as an event with time strictly greater
 /// than `s` arrives (events are nondecreasing in time, so everything at or
@@ -119,7 +120,8 @@ impl LagObserver {
     }
 
     /// The maximum LAG over all evaluated slots (`Rat::ZERO` if none),
-    /// matching `max_lag_over_slots` when finished to the same horizon.
+    /// matching the maximum of `lag_series` through the same horizon when
+    /// finished to it.
     #[must_use]
     pub fn max_lag(&self) -> Rat {
         let mut it = self.series.iter().map(|&(_, l)| l);

@@ -156,6 +156,10 @@ mod tests {
 
         let q = Arc::new(ArrayQueue::new(64));
         let popped = Arc::new(std::sync::Mutex::new(Vec::new()));
+        // Items popped so far by all consumers, bumped on every pop, so a
+        // consumer can exit once everything is out without waiting for the
+        // others to publish their batches.
+        let popped_count = Arc::new(AtomicUsize::new(0));
 
         std::thread::scope(|s| {
             for producer in 0..PRODUCERS {
@@ -173,15 +177,17 @@ mod tests {
             for _ in 0..CONSUMERS {
                 let q = Arc::clone(&q);
                 let popped = Arc::clone(&popped);
+                let popped_count = Arc::clone(&popped_count);
                 s.spawn(move || {
                     let mut local = Vec::new();
                     loop {
                         match q.pop() {
-                            Some(item) => local.push(item),
+                            Some(item) => {
+                                local.push(item);
+                                popped_count.fetch_add(1, Ordering::SeqCst);
+                            }
                             None => {
-                                let total: usize =
-                                    popped.lock().unwrap().iter().map(Vec::len).sum();
-                                if total + local.len() >= PRODUCERS * PER_PRODUCER {
+                                if popped_count.load(Ordering::SeqCst) >= PRODUCERS * PER_PRODUCER {
                                     break;
                                 }
                                 std::thread::yield_now();
