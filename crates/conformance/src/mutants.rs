@@ -814,8 +814,8 @@ fn simulate_flow_window_slip(sys: &TaskSystem, m: u32, cost: &mut dyn CostModel)
 ///
 /// Unlike [`Mutant`], which swaps a broken *engine* into the differential
 /// harness, a runtime mutant arms a [`FaultPlan`](pfair_runtime::FaultPlan) inside `pfair-runtime`
-/// itself — a torn dispatch batch, a lost combiner wakeup, a stale
-/// KeyCache read — and the replay bank
+/// itself — a torn dispatch batch, a lost combiner wakeup, a stale key
+/// read — and the replay bank
 /// ([`crate::runtime::runtime_bank`]) must catch the damage in the
 /// recorded artifacts of a real multi-threaded run.
 #[derive(Clone, Copy, Debug)]
@@ -861,7 +861,7 @@ pub fn runtime_mutants() -> Vec<RuntimeMutant> {
         },
         RuntimeMutant {
             name: "stale-keycache-read",
-            description: "dispatch reads the predecessor's KeyCache slot for any \
+            description: "dispatch is keyed by the predecessor's key for any \
                           subtask that has one, a stale-read race: every quantum still \
                           executes and replays cleanly, but priorities shift and the \
                           schedule silently diverges from the reference",

@@ -7,17 +7,19 @@
 //! "what runs now" in sub-linear time, and nothing about the future is
 //! known. This crate provides that embedding:
 //!
-//! * [`key::Pd2Key`] — PD² priority as a *static, totally ordered key*
-//!   (deadline, b-bit, conditional group deadline, weight, identity),
-//!   proven equivalent to the comparator in `pfair-core` by test, so the
-//!   ready queue can be a binary heap with `O(log n)` dispatch instead of
-//!   an `O(n)` scan;
 //! * [`tick::OnlineSfq`] — the SFQ counterpart as a kernel would host
 //!   it: a `tick()` per slot boundary returns the ≤ M subtasks to run;
 //! * [`scheduler::OnlineDvq`] — the event loop of the DVQ model
 //!   ("a new quantum begins immediately" when a subtask yields), driven by
 //!   sporadic job submissions and a caller-supplied cost source, emitting
-//!   the resulting quantum assignments.
+//!   the resulting quantum assignments. It is the one online PD²-DVQ
+//!   kernel: `pfair-runtime`'s dispatch core drives it under a
+//!   completion [`Mode`].
+//!
+//! Both schedulers keep their ready subtasks in a binary heap of
+//! [`pfair_core::key::Pd2Key`]s — PD² priority as a static, totally
+//! ordered key, proven equivalent to the comparator in `pfair-core` — so
+//! dispatch is `O(log n)` instead of an `O(n)` scan.
 //!
 //! Both schedulers also come in `*_observed` variants that stream
 //! [`pfair_obs::SchedEvent`]s to a [`pfair_obs::Observer`] — see
@@ -34,10 +36,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod key;
 pub mod scheduler;
 pub mod tick;
 
-pub use key::Pd2Key;
-pub use scheduler::{OnlineAssignment, OnlineDvq, OnlineError};
+pub use scheduler::{Mode, OnlineAssignment, OnlineDvq, OnlineError};
 pub use tick::{OnlineSfq, TickAssignment};

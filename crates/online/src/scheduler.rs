@@ -1,4 +1,4 @@
-//! The online DVQ event loop.
+//! The online PD²-DVQ kernel.
 //!
 //! [`OnlineDvq`] accepts **sporadic job arrivals** at runtime and plays
 //! the DVQ model forward: at every instant a processor frees (a quantum
@@ -7,6 +7,13 @@
 //! `O(log n)` from a binary heap of [`Pd2Key`]s. Semantics are exactly
 //! those of `pfair_sim::simulate_dvq` — the cross-check tests drive both
 //! on identical workloads and require identical schedules.
+//!
+//! The loop handles one event at a time: the first event of an instant
+//! opens a *batch* (its [`SchedEvent::Tick`]), and the batch closes — one
+//! ascending-processor PD² dispatch pass — when the next event lies later.
+//! The [`Mode`] fixes when a completion is handled: queued like any event
+//! ([`Mode::Deterministic`], which `pfair-runtime` also gates on worker
+//! reports), or when the caller reports it ([`Mode::FreeRunning`]).
 //!
 //! # Usage
 //!
@@ -29,12 +36,11 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+use pfair_core::key::Pd2Key;
 use pfair_numeric::{QScale, QTime, Rat, Time};
 use pfair_obs::{NoopObserver, Observer, ReadyCause, SchedEvent};
 use pfair_taskmodel::window;
 use pfair_taskmodel::{SubtaskId, TaskId, Weight};
-
-use crate::key::Pd2Key;
 
 /// A dispatched quantum, as reported by the scheduler.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,8 +102,21 @@ impl core::fmt::Display for OnlineError {
 
 impl std::error::Error for OnlineError {}
 
+/// When the kernel handles a quantum's completion; `pfair-runtime`
+/// selects it per run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mode {
+    /// Completions are queued events, handled in logical order (the
+    /// runtime's logical-time barrier). The plain `OnlineDvq` policy.
+    Deterministic,
+    /// Completions are applied when reported, at `max(now, completion)`;
+    /// in the runtime the schedule depends on thread timing and is
+    /// checked by replay.
+    FreeRunning,
+}
+
 /// One not-yet-dispatched subtask of a task's chain.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct SubSpec {
     index: u64,
     eligible: i64,
@@ -112,7 +131,8 @@ struct TaskState {
     jobs: u64,
     /// Release time of the most recent job.
     last_release: Option<i64>,
-    /// Subtasks awaiting dispatch, in chain order.
+    /// Subtasks awaiting dispatch, in chain order (the head stays here
+    /// while it is ready).
     queue: VecDeque<SubSpec>,
     /// Completion time of the task's most recently completed subtask.
     pred_completion: Time,
@@ -123,24 +143,27 @@ struct TaskState {
     head_armed: bool,
 }
 
+/// Queued events. At equal instants completions come first, then
+/// activations, each by processor / task id.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
-    /// A processor completed its quantum (task whose subtask finished).
-    ProcFree(u32, TaskId),
+    /// The quantum on this processor completes (queued completions only).
+    ProcFree(u32),
     /// A task's chain head becomes ready.
     Activate(TaskId),
 }
 
-/// The quantum currently occupying a processor, kept so its end can be
-/// announced to an observer: `(subtask, completion, deadline)`.
+/// The quantum currently occupying a processor:
+/// `(subtask, completion, deadline)`.
 type RunningQuantum = (SubtaskId, Time, i64);
 
 /// Default tick resolution of the event queue's fast mode:
 /// `lcm(1..13)`, the workload generators' cost grid.
 const DEFAULT_RESOLUTION: i64 = 720_720;
 
-/// A peeked event instant: the exact time plus, when the queue is in tick
-/// mode, its native tick count (so batch-equality checks stay integral).
+/// An event instant: the exact time plus, when the queue is in tick
+/// mode, its native tick count (so the next peek at the same count skips
+/// the conversion).
 #[derive(Clone, Copy, Debug)]
 struct Instant {
     ticks: Option<QTime>,
@@ -165,82 +188,50 @@ enum EventQueue {
 }
 
 impl EventQueue {
-    fn ticks(scale: QScale) -> EventQueue {
-        EventQueue::Ticks {
-            scale,
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    fn peek_instant(&self) -> Option<Instant> {
+    /// The next event and its instant. An event at the tick count of
+    /// `last` (the instant peeked before) reuses its exact time instead of
+    /// converting again.
+    fn peek(&self, last: Option<Instant>) -> Option<(Instant, Ev)> {
         match self {
-            EventQueue::Ticks { scale, heap } => heap.peek().map(|&Reverse((t, _))| Instant {
-                ticks: Some(t),
-                at: scale.to_rat(t),
+            EventQueue::Ticks { scale, heap } => heap.peek().map(|&Reverse((t, ev))| {
+                let at = match last {
+                    Some(b) if b.ticks == Some(t) => b.at,
+                    _ => scale.to_rat(t),
+                };
+                let ticks = Some(t);
+                (Instant { ticks, at }, ev)
             }),
             EventQueue::Exact(heap) => heap
                 .peek()
-                .map(|&Reverse((t, _))| Instant { ticks: None, at: t }),
+                .map(|&Reverse((at, ev))| (Instant { ticks: None, at }, ev)),
         }
     }
 
-    /// Pops the next event if it is scheduled exactly at `at`. Correct
-    /// across a mid-batch migration: tick and exact representations of one
-    /// instant are equal as rationals.
-    fn pop_at(&mut self, at: Instant) -> Option<Ev> {
+    fn pop(&mut self) -> Option<Ev> {
         match self {
-            EventQueue::Ticks { scale, heap } => {
-                let &Reverse((t, ev)) = heap.peek()?;
-                let same = match at.ticks {
-                    Some(qt) => t == qt,
-                    None => scale.to_rat(t) == at.at,
-                };
-                if same {
-                    heap.pop();
-                    Some(ev)
-                } else {
-                    None
-                }
-            }
-            EventQueue::Exact(heap) => {
-                let &Reverse((t, ev)) = heap.peek()?;
-                if t == at.at {
-                    heap.pop();
-                    Some(ev)
-                } else {
-                    None
-                }
-            }
+            EventQueue::Ticks { heap, .. } => heap.pop().map(|Reverse((_, ev))| ev),
+            EventQueue::Exact(heap) => heap.pop().map(|Reverse((_, ev))| ev),
         }
     }
 
     fn push(&mut self, at: Time, ev: Ev) {
         if let EventQueue::Ticks { scale, heap } = self {
-            match scale.from_rat(at) {
-                Some(qt) => {
-                    heap.push(Reverse((qt, ev)));
-                    return;
-                }
-                None => self.migrate(),
+            if let Some(qt) = scale.from_rat(at) {
+                heap.push(Reverse((qt, ev)));
+                return;
             }
-        }
-        let EventQueue::Exact(heap) = self else {
-            unreachable!("migrate leaves the queue in exact mode")
-        };
-        heap.push(Reverse((at, ev)));
-    }
-
-    /// Converts the queue to exact mode, losslessly.
-    fn migrate(&mut self) {
-        if let EventQueue::Ticks { scale, heap } =
-            std::mem::replace(self, EventQueue::Exact(BinaryHeap::new()))
-        {
-            let exact = heap
+            // Off the grid: convert the queue to exact mode, losslessly.
+            let scale = *scale;
+            let exact = std::mem::take(heap)
                 .into_iter()
                 .map(|Reverse((t, ev))| Reverse((scale.to_rat(t), ev)))
                 .collect();
             *self = EventQueue::Exact(exact);
         }
+        let EventQueue::Exact(heap) = self else {
+            unreachable!("an off-grid push leaves the queue in exact mode")
+        };
+        heap.push(Reverse((at, ev)));
     }
 }
 
@@ -248,13 +239,16 @@ impl EventQueue {
 #[derive(Debug)]
 pub struct OnlineDvq {
     m: u32,
+    mode: Mode,
     now: Time,
     tasks: Vec<TaskState>,
-    /// Ready subtasks, min-keyed by PD² priority.
+    /// Ready chain heads (still first in their task's queue), min-keyed
+    /// by PD² priority.
     ready: BinaryHeap<Reverse<(Pd2Key, u32)>>, // (key, task id)
-    /// Pending ready specs per task (the spec the key refers to).
-    ready_spec: Vec<Option<SubSpec>>,
     events: EventQueue,
+    /// The instant whose events are being handled, until its dispatch
+    /// pass runs.
+    batch: Option<Time>,
     free: Vec<u32>,
     /// Per-processor in-flight quantum. Maintained unconditionally so
     /// observed and unobserved `run_until` calls can be interleaved.
@@ -263,12 +257,9 @@ pub struct OnlineDvq {
 }
 
 impl OnlineDvq {
-    /// A scheduler over `m ≥ 1` processors, starting at time 0.
-    ///
-    /// The event queue starts in its integer-tick fast mode at the
-    /// workload cost grid's resolution (`lcm(1..13)` ticks per quantum)
-    /// and falls back to exact rational times automatically on the first
-    /// off-grid value — see [`Self::with_resolution`].
+    /// A scheduler over `m ≥ 1` processors, starting at time 0, its event
+    /// queue at the workload cost grid's tick resolution (`lcm(1..13)`
+    /// ticks per quantum; see [`Self::with_resolution`]).
     ///
     /// # Panics
     /// Panics if `m == 0`.
@@ -292,15 +283,38 @@ impl OnlineDvq {
         assert!(m >= 1, "need at least one processor");
         OnlineDvq {
             m,
+            mode: Mode::Deterministic,
             now: Rat::ZERO,
             tasks: Vec::new(),
             ready: BinaryHeap::new(),
-            ready_spec: Vec::new(),
-            events: EventQueue::ticks(QScale::new(ticks_per_quantum)),
+            events: EventQueue::Ticks {
+                scale: QScale::new(ticks_per_quantum),
+                heap: BinaryHeap::new(),
+            },
+            batch: None,
             free: (0..m).collect(),
             running: vec![None; m as usize],
             log: Vec::new(),
         }
+    }
+
+    /// The scheduler under completion policy `mode` (default
+    /// [`Mode::Deterministic`]). A [`Mode::FreeRunning`] scheduler is
+    /// driven by [`Self::advance_observed`] and [`Self::complete_observed`].
+    ///
+    /// # Panics
+    /// Panics if a quantum was already dispatched.
+    #[must_use]
+    pub fn in_mode(mut self, mode: Mode) -> OnlineDvq {
+        assert!(self.log.is_empty(), "the mode is fixed before dispatch");
+        self.mode = mode;
+        self
+    }
+
+    /// The completion policy.
+    #[must_use]
+    pub fn mode(&self) -> Mode {
+        self.mode
     }
 
     /// Registers a task; returns its id. Tasks may be added at any time.
@@ -315,7 +329,6 @@ impl OnlineDvq {
             chain_busy: false,
             head_armed: false,
         });
-        self.ready_spec.push(None);
         id
     }
 
@@ -329,6 +342,13 @@ impl OnlineDvq {
     #[must_use]
     pub fn num_processors(&self) -> u32 {
         self.m
+    }
+
+    /// The logical completion time of the quantum in flight on `proc`,
+    /// if any.
+    #[must_use]
+    pub fn in_flight(&self, proc: u32) -> Option<Time> {
+        self.running[proc as usize].map(|(_, completion, _)| completion)
     }
 
     /// Submits the next job of `task`, released at integral time `at`.
@@ -355,6 +375,22 @@ impl OnlineDvq {
         at: i64,
         obs: &mut O,
     ) -> Result<(), OnlineError> {
+        self.submit_job_keyed(task, at, &mut |_, key| key, obs)
+    }
+
+    /// [`Self::submit_job_observed`] where `key(id, fresh)` maps each
+    /// subtask's PD² key to the one the ready queue orders it by — a hook
+    /// for cross-checking subtasks or planting a stale-key fault.
+    ///
+    /// # Errors
+    /// [`OnlineError`] on separation/past/unknown-task violations.
+    pub fn submit_job_keyed<O: Observer>(
+        &mut self,
+        task: TaskId,
+        at: i64,
+        key: &mut dyn FnMut(SubtaskId, Pd2Key) -> Pd2Key,
+        obs: &mut O,
+    ) -> Result<(), OnlineError> {
         let state = self
             .tasks
             .get_mut(task.idx())
@@ -379,18 +415,16 @@ impl OnlineDvq {
         let theta = at - i64::try_from(j).expect("job count") * w.p();
         let first = j * w.e() as u64 + 1;
         for index in first..first + w.e() as u64 {
+            let id = SubtaskId { task, index };
             let r = theta + window::release(w, index);
             let spec = SubSpec {
                 index,
                 eligible: r,
                 deadline: theta + window::deadline(w, index),
-                key: Pd2Key::of(w, SubtaskId { task, index }, index, theta),
+                key: key(id, Pd2Key::of(w, id, index, theta)),
             };
             if O::ENABLED {
-                obs.on_event(&SchedEvent::Released {
-                    id: SubtaskId { task, index },
-                    at: r,
-                });
+                obs.on_event(&SchedEvent::Released { id, at: r });
             }
             state.queue.push_back(spec);
         }
@@ -423,7 +457,7 @@ impl OnlineDvq {
         horizon: Time,
         cost: &mut dyn FnMut(TaskId, u64) -> Rat,
     ) -> Vec<OnlineAssignment> {
-        self.run_until_impl(horizon, cost, &mut NoopObserver)
+        self.run_until_observed(horizon, cost, &mut NoopObserver)
     }
 
     /// [`Self::run_until`] with a streaming [`Observer`] attached. With
@@ -438,144 +472,8 @@ impl OnlineDvq {
         cost: &mut dyn FnMut(TaskId, u64) -> Rat,
         obs: &mut O,
     ) -> Vec<OnlineAssignment> {
-        self.run_until_impl(horizon, cost, obs)
-    }
-
-    fn run_until_impl<O: Observer>(
-        &mut self,
-        horizon: Time,
-        cost: &mut dyn FnMut(TaskId, u64) -> Rat,
-        obs: &mut O,
-    ) -> Vec<OnlineAssignment> {
         let log_start = self.log.len();
-        while let Some(instant) = self.events.peek_instant() {
-            let t = instant.at;
-            if t > horizon {
-                break;
-            }
-            self.now = t;
-            if O::ENABLED {
-                obs.on_event(&SchedEvent::Tick { at: t });
-            }
-            // Drain the batch at time t (`pop_at` matches the instant even
-            // if an arm within the batch migrates the queue to exact mode).
-            while let Some(ev) = self.events.pop_at(instant) {
-                match ev {
-                    Ev::ProcFree(proc, task) => {
-                        let finished = self.running[proc as usize].take();
-                        if O::ENABLED {
-                            let (id, completion, deadline) =
-                                finished.expect("a freed processor was running a quantum");
-                            obs.on_event(&SchedEvent::QuantumEnd {
-                                id,
-                                proc,
-                                completion,
-                                deadline,
-                                waste: Rat::ZERO,
-                            });
-                            let d = Rat::int(deadline);
-                            if completion > d {
-                                obs.on_event(&SchedEvent::DeadlineMiss {
-                                    id,
-                                    completion,
-                                    deadline,
-                                    tardiness: completion - d,
-                                });
-                            } else {
-                                obs.on_event(&SchedEvent::DeadlineHit {
-                                    id,
-                                    completion,
-                                    deadline,
-                                });
-                            }
-                        }
-                        self.free.push(proc);
-                        let state = &mut self.tasks[task.idx()];
-                        state.chain_busy = false;
-                        self.arm_head(task);
-                    }
-                    Ev::Activate(task) => {
-                        let state = &mut self.tasks[task.idx()];
-                        state.head_armed = false;
-                        if state.chain_busy {
-                            continue; // stale arm (job submitted while running)
-                        }
-                        if let Some(spec) = state.queue.pop_front() {
-                            state.chain_busy = true;
-                            if O::ENABLED {
-                                let cause = if t == Rat::int(spec.eligible) {
-                                    ReadyCause::Eligibility
-                                } else {
-                                    ReadyCause::Predecessor
-                                };
-                                obs.on_event(&SchedEvent::Ready {
-                                    id: SubtaskId {
-                                        task,
-                                        index: spec.index,
-                                    },
-                                    at: t,
-                                    cause,
-                                });
-                            }
-                            self.ready.push(Reverse((spec.key, task.0)));
-                            self.ready_spec[task.idx()] = Some(spec);
-                        }
-                    }
-                }
-            }
-            // Descending, so `pop()` hands out the lowest index first.
-            self.free.sort_unstable_by(|a, b| b.cmp(a));
-            // Assign free processors to ready subtasks in priority order.
-            while !self.free.is_empty() && !self.ready.is_empty() {
-                let Reverse((_, task_raw)) = self.ready.pop().expect("nonempty");
-                let task = TaskId(task_raw);
-                let spec = self.ready_spec[task.idx()]
-                    .take()
-                    .expect("ready entry has a spec");
-                let proc = self.free.pop().expect("free nonempty");
-                let c = cost(task, spec.index);
-                assert!(
-                    c.is_positive() && c <= Rat::ONE,
-                    "cost source produced {c} for T{}_{}; must be in (0, 1]",
-                    task.0,
-                    spec.index
-                );
-                let completion = self.now + c;
-                let id = SubtaskId {
-                    task,
-                    index: spec.index,
-                };
-                if O::ENABLED {
-                    obs.on_event(&SchedEvent::QuantumStart {
-                        id,
-                        proc,
-                        start: self.now,
-                        cost: c,
-                        holds_until: completion,
-                        deadline: spec.deadline,
-                        bbit: spec.key.bbit,
-                        group_deadline: spec.key.group_deadline,
-                    });
-                }
-                self.running[proc as usize] = Some((id, completion, spec.deadline));
-                self.log.push(OnlineAssignment {
-                    task,
-                    index: spec.index,
-                    proc,
-                    start: self.now,
-                    cost: c,
-                    deadline: spec.deadline,
-                });
-                self.tasks[task.idx()].pred_completion = completion;
-                self.events.push(completion, Ev::ProcFree(proc, task));
-            }
-            if O::ENABLED && !self.free.is_empty() {
-                obs.on_event(&SchedEvent::Idle {
-                    at: t,
-                    procs: self.free.len() as u32,
-                });
-            }
-        }
+        self.drain(|s, at, _| s.batch.is_none() && at > horizon, cost, obs);
         if self.now < horizon {
             self.now = horizon;
         }
@@ -588,10 +486,7 @@ impl OnlineDvq {
         &mut self,
         cost: &mut dyn FnMut(TaskId, u64) -> Rat,
     ) -> Vec<OnlineAssignment> {
-        // Events only exist while work is pending, so an unbounded horizon
-        // terminates exactly when the system drains.
-        let far = Rat::int(i64::MAX / 2);
-        self.run_until(far, cost)
+        self.run_until_idle_observed(cost, &mut NoopObserver)
     }
 
     /// [`Self::run_until_idle`] with a streaming [`Observer`] attached.
@@ -603,14 +498,242 @@ impl OnlineDvq {
         cost: &mut dyn FnMut(TaskId, u64) -> Rat,
         obs: &mut O,
     ) -> Vec<OnlineAssignment> {
-        let far = Rat::int(i64::MAX / 2);
-        self.run_until_impl(far, cost, obs)
+        // Events only exist while work is pending, so an unbounded horizon
+        // terminates exactly when the system drains.
+        self.run_until_observed(Rat::int(i64::MAX / 2), cost, obs)
+    }
+
+    /// Handles events until one needs an undelivered completion (returns
+    /// `true`) or the queue empties (`false`). [`Mode::Deterministic`]: a
+    /// completion on `proc` waits for `reported(proc)`, asked once, right
+    /// before it would be handled. [`Mode::FreeRunning`]: stops before any
+    /// event at or after an in-flight quantum's completion.
+    pub fn advance_observed<O: Observer>(
+        &mut self,
+        reported: &mut dyn FnMut(u32) -> bool,
+        cost: &mut dyn FnMut(TaskId, u64) -> Rat,
+        obs: &mut O,
+    ) -> bool {
+        let stop = |s: &OnlineDvq, at, ev| match (s.mode, ev) {
+            (Mode::FreeRunning, _) => s.running.iter().flatten().any(|&(_, c, _)| c <= at),
+            (Mode::Deterministic, Ev::ProcFree(proc)) => !reported(proc),
+            (Mode::Deterministic, Ev::Activate(_)) => false,
+        };
+        self.drain(stop, cost, obs)
+    }
+
+    /// [`Mode::FreeRunning`]: applies the reported completion on `proc`,
+    /// after the queued events that logically precede it, at
+    /// `max(now, completion)`. A late report (time already moved past it)
+    /// leaves the processor idle over the gap: capacity loss, never an
+    /// invalid placement.
+    ///
+    /// # Panics
+    /// Panics in [`Mode::Deterministic`] or if `proc` is idle.
+    pub fn complete_observed<O: Observer>(
+        &mut self,
+        proc: u32,
+        cost: &mut dyn FnMut(TaskId, u64) -> Rat,
+        obs: &mut O,
+    ) {
+        assert!(
+            self.mode == Mode::FreeRunning,
+            "reported completions are the free-running completion path"
+        );
+        let completion = self
+            .in_flight(proc)
+            .expect("processor reported done while idle");
+        if completion > self.now {
+            self.drain(|_, at, _| at >= completion, cost, obs);
+        }
+        self.open_batch(self.now.max(completion), obs);
+        self.finish(proc, obs);
     }
 
     /// Every assignment made since construction.
     #[must_use]
     pub fn full_log(&self) -> &[OnlineAssignment] {
         &self.log
+    }
+
+    /// The kernel loop, one queued event at a time: a batch at an earlier
+    /// instant than the next event is closed first; then `stop` may end
+    /// the loop before the event (`true`), or it joins the batch at its
+    /// instant and is handled. `false` once the queue and batch are empty.
+    fn drain<O: Observer>(
+        &mut self,
+        mut stop: impl FnMut(&OnlineDvq, Time, Ev) -> bool,
+        cost: &mut dyn FnMut(TaskId, u64) -> Rat,
+        obs: &mut O,
+    ) -> bool {
+        let mut last = None;
+        loop {
+            let Some((next, ev)) = self.events.peek(last) else {
+                if self.batch.is_none() {
+                    return false;
+                }
+                self.close_batch(cost, obs);
+                continue;
+            };
+            last = Some(next);
+            let mut at = next.at;
+            if self.mode == Mode::FreeRunning && at < self.now {
+                // A late report moved time past this activation.
+                at = self.now;
+            }
+            if self.batch.is_some_and(|b| b != at) {
+                self.close_batch(cost, obs);
+                continue;
+            }
+            if stop(self, at, ev) {
+                return true;
+            }
+            self.open_batch(at, obs);
+            match self.events.pop().expect("peeked event still queued") {
+                Ev::ProcFree(proc) => self.finish(proc, obs),
+                Ev::Activate(task) => self.activate(task, obs),
+            }
+        }
+    }
+
+    /// Opens a batch at `at` (emitting its `Tick`) unless one is open
+    /// there already.
+    fn open_batch<O: Observer>(&mut self, at: Time, obs: &mut O) {
+        if self.batch.is_some() {
+            return;
+        }
+        self.batch = Some(at);
+        self.now = at;
+        if O::ENABLED {
+            obs.on_event(&SchedEvent::Tick { at });
+        }
+    }
+
+    /// Frees `proc` after its quantum: deadline verdict, freeing, and
+    /// re-arming the task's chain.
+    fn finish<O: Observer>(&mut self, proc: u32, obs: &mut O) {
+        let (id, completion, deadline) = self.running[proc as usize]
+            .take()
+            .expect("a freed processor was running a quantum");
+        if O::ENABLED {
+            obs.on_event(&SchedEvent::QuantumEnd {
+                id,
+                proc,
+                completion,
+                deadline,
+                waste: Rat::ZERO,
+            });
+            let d = Rat::int(deadline);
+            if completion > d {
+                obs.on_event(&SchedEvent::DeadlineMiss {
+                    id,
+                    completion,
+                    deadline,
+                    tardiness: completion - d,
+                });
+            } else {
+                obs.on_event(&SchedEvent::DeadlineHit {
+                    id,
+                    completion,
+                    deadline,
+                });
+            }
+        }
+        self.free.push(proc);
+        self.tasks[id.task.idx()].chain_busy = false;
+        self.arm_head(id.task);
+    }
+
+    /// Moves the task's chain head to the ready queue.
+    fn activate<O: Observer>(&mut self, task: TaskId, obs: &mut O) {
+        let state = &mut self.tasks[task.idx()];
+        state.head_armed = false;
+        if state.chain_busy {
+            return; // stale arm (job submitted while running)
+        }
+        let Some(spec) = state.queue.front() else {
+            return;
+        };
+        state.chain_busy = true;
+        if O::ENABLED {
+            let cause = if self.now == Rat::int(spec.eligible) {
+                ReadyCause::Eligibility
+            } else {
+                ReadyCause::Predecessor
+            };
+            obs.on_event(&SchedEvent::Ready {
+                id: SubtaskId {
+                    task,
+                    index: spec.index,
+                },
+                at: self.now,
+                cause,
+            });
+        }
+        self.ready.push(Reverse((spec.key, task.0)));
+    }
+
+    /// Closes the open batch: the PD² dispatch pass, handing free
+    /// processors (lowest index first) to ready subtasks in priority
+    /// order.
+    fn close_batch<O: Observer>(&mut self, cost: &mut dyn FnMut(TaskId, u64) -> Rat, obs: &mut O) {
+        let Some(batch) = self.batch.take() else {
+            return;
+        };
+        // Descending, so `pop()` hands out the lowest index first.
+        self.free.sort_unstable_by(|a, b| b.cmp(a));
+        while !self.free.is_empty() && !self.ready.is_empty() {
+            let Reverse((_, task_raw)) = self.ready.pop().expect("nonempty");
+            let task = TaskId(task_raw);
+            let spec = self.tasks[task.idx()]
+                .queue
+                .pop_front()
+                .expect("a ready task heads its queue");
+            let proc = self.free.pop().expect("free nonempty");
+            let c = cost(task, spec.index);
+            assert!(
+                c.is_positive() && c <= Rat::ONE,
+                "cost source produced {c} for T{}_{}; must be in (0, 1]",
+                task.0,
+                spec.index
+            );
+            let completion = self.now + c;
+            let id = SubtaskId {
+                task,
+                index: spec.index,
+            };
+            if O::ENABLED {
+                obs.on_event(&SchedEvent::QuantumStart {
+                    id,
+                    proc,
+                    start: self.now,
+                    cost: c,
+                    holds_until: completion,
+                    deadline: spec.deadline,
+                    bbit: spec.key.bbit,
+                    group_deadline: spec.key.group_deadline,
+                });
+            }
+            self.running[proc as usize] = Some((id, completion, spec.deadline));
+            self.log.push(OnlineAssignment {
+                task,
+                index: spec.index,
+                proc,
+                start: self.now,
+                cost: c,
+                deadline: spec.deadline,
+            });
+            self.tasks[task.idx()].pred_completion = completion;
+            if self.mode == Mode::Deterministic {
+                self.events.push(completion, Ev::ProcFree(proc));
+            }
+        }
+        if O::ENABLED && !self.free.is_empty() {
+            obs.on_event(&SchedEvent::Idle {
+                at: batch,
+                procs: self.free.len() as u32,
+            });
+        }
     }
 }
 

@@ -24,12 +24,12 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+use pfair_core::key::Pd2Key;
 use pfair_numeric::Rat;
 use pfair_obs::{NoopObserver, Observer, ReadyCause, SchedEvent};
 use pfair_taskmodel::window;
 use pfair_taskmodel::{SubtaskId, TaskId, Weight};
 
-use crate::key::Pd2Key;
 use crate::scheduler::OnlineError;
 
 /// A subtask handed out by [`OnlineSfq::tick`].

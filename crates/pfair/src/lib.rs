@@ -82,17 +82,15 @@ pub mod prelude {
         WasteStats,
     };
     pub use pfair_core::{
-        pdb, Algorithm, ComparatorOnly, Epdf, EpdfKey, KeyCache, KeyDispatch, Pd, Pd2, PdKey, Pf,
-        PriorityOrder, SubtaskKey,
+        pdb, Algorithm, ComparatorOnly, Epdf, EpdfKey, KeyCache, KeyDispatch, Pd, Pd2, Pd2Key,
+        PdKey, Pf, PriorityOrder, SubtaskKey,
     };
     pub use pfair_numeric::{QuantumScale, Rat, Time};
     pub use pfair_obs::{
         BlockingObserver, BlockingRecord, InversionKind, JsonlObserver, LagObserver,
         MetricsObserver, NoopObserver, Observer, ReadyCause, SchedEvent,
     };
-    pub use pfair_online::{
-        OnlineAssignment, OnlineDvq, OnlineError, OnlineSfq, Pd2Key, TickAssignment,
-    };
+    pub use pfair_online::{OnlineAssignment, OnlineDvq, OnlineError, OnlineSfq, TickAssignment};
     pub use pfair_runtime::{
         execute, quantum_cost, DispatchCore, FaultPlan, JitterRegime, Mode, RuntimeConfig,
         RuntimeRun,

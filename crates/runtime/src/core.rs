@@ -1,30 +1,25 @@
 //! The deterministic dispatch core behind the delegation lock.
 //!
 //! [`DispatchCore`] is the single-threaded heart of the runtime: whichever
-//! worker currently holds the combiner role drains the request slots and
-//! drives this state machine. Its scheduling semantics are *exactly* those
-//! of [`pfair_online::OnlineDvq`] — same event heap ordering, same
-//! KeyCache-backed PD² ready queue, same ascending-processor dispatch pass
-//! — with one addition: a quantum's logical completion may only be
-//! *processed* once the worker that executed it has physically reported
-//! done.
+//! worker holds the combiner role drains the request slots and drives it.
+//! It is a thin wrapper around the online PD²-DVQ kernel,
+//! [`pfair_online::OnlineDvq`], run under the request's [`Mode`]:
 //!
-//! That gate is what makes the two execution modes of the tentpole work:
+//! * **[`Mode::Deterministic`]** queues completions and gates each on its
+//!   worker's report ([`DispatchCore::mark_done`]), stalling
+//!   ([`Status::Stalled`]) until it arrives. Events are handled in exactly
+//!   `OnlineDvq`'s order whatever the thread interleaving — a logical-time
+//!   barrier — so the schedule is bit-identical to the single-threaded
+//!   reference (proof obligation (a)).
+//! * **[`Mode::FreeRunning`]** applies completions as workers deliver them
+//!   ([`DispatchCore::complete_unordered`]) at `max(now, completion)`. The
+//!   schedule depends on the interleaving; each run is proven by replaying
+//!   its event stream through the conformance bank (proof obligation (b)).
 //!
-//! * **[`Mode::Deterministic`]** keeps the eager `ProcFree` events of the
-//!   online scheduler in the heap and simply *stalls* ([`Status::Stalled`])
-//!   when the next logical event is a completion whose worker has not
-//!   reported yet. Events are therefore processed in precisely the order
-//!   `OnlineDvq` processes them, whatever the thread interleaving — the
-//!   logical-time barrier — and the resulting schedule is bit-identical to
-//!   the single-threaded reference (proof obligation (a)).
-//! * **[`Mode::FreeRunning`]** trusts physical arrival instead: completions
-//!   are applied in the order workers deliver them
-//!   ([`DispatchCore::complete_unordered`]), logical time advancing
-//!   monotonically to `max(now, completion)`. The schedule then genuinely
-//!   depends on the interleaving, and correctness is established per run by
-//!   replaying the recorded event stream through the conformance bank
-//!   (proof obligation (b)).
+//! The wrapper adds the report gate, a cross-check of every submission
+//! against its [`TaskSystem`], the seeded jitter costs, the event recorder,
+//! and two planted faults: a stale key supplied at submission and a
+//! recorder that tears dispatch batches.
 //!
 //! This module is the *deterministic half* of the crate: it must contain no
 //! wall-clock, thread, or entropy use at all (`pfair-lint`'s
@@ -32,27 +27,13 @@
 //! file). Everything nondeterministic lives in [`crate::exec`] behind
 //! justified allows.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
-use pfair_core::key::{KeyCache, Pd2Key};
-use pfair_numeric::{Rat, Time};
-use pfair_obs::{Observer, ReadyCause, RecordingObserver, SchedEvent};
-use pfair_online::OnlineAssignment;
-use pfair_taskmodel::{window, SubtaskId, SubtaskRef, TaskId, TaskSystem, Weight};
+use pfair_core::key::{Pd2Key, SubtaskKey};
+use pfair_numeric::Time;
+use pfair_obs::{Observer, SchedEvent};
+use pfair_online::{Mode, OnlineAssignment, OnlineDvq};
+use pfair_taskmodel::{window, SubtaskRef, TaskId, TaskSystem};
 
 use crate::jitter::{quantum_cost, JitterRegime};
-
-/// Which completion-ordering discipline the core runs under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mode {
-    /// Logical-time barrier: completions are processed in exact logical
-    /// order, stalling on workers as needed. Bit-identical to `OnlineDvq`.
-    Deterministic,
-    /// Completions are processed as workers deliver them; the schedule
-    /// depends on real thread timing and is checked by replay.
-    FreeRunning,
-}
 
 /// A planted concurrency fault, for proving the replay harness is
 /// load-bearing. `FaultPlan::None` is the production configuration; the
@@ -70,8 +51,8 @@ pub enum FaultPlan {
     /// classic lost-wakeup, leaving the dispatch core waiting forever for
     /// a quantum that already finished.
     LostWakeupCombiner,
-    /// Ready subtasks are keyed from the previous subtask's KeyCache slot
-    /// (a stale read), silently reordering PD² dispatch.
+    /// Ready subtasks are keyed from the previous subtask's key (a stale
+    /// read), silently reordering PD² dispatch.
     StaleKeyCacheRead,
 }
 
@@ -107,67 +88,21 @@ pub enum Status {
     Idle,
 }
 
-/// One not-yet-dispatched subtask of a task's chain.
-#[derive(Clone, Copy, Debug)]
-struct SubSpec {
-    index: u64,
-    st: SubtaskRef,
-    eligible: i64,
-    deadline: i64,
-}
-
-#[derive(Clone, Debug)]
-struct TaskState {
-    weight: Weight,
-    jobs: u64,
-    last_release: Option<i64>,
-    queue: VecDeque<SubSpec>,
-    pred_completion: Time,
-    chain_busy: bool,
-    head_armed: bool,
-}
-
-/// Heap events, ordered like `OnlineDvq`'s (`ProcFree` before `Activate`
-/// at equal instants, then by processor / task id).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Ev {
-    ProcFree(u32, TaskId),
-    Activate(TaskId),
-}
-
-/// The quantum in flight on a processor: `(subtask, completion, deadline)`.
-type RunningQuantum = (SubtaskId, Time, i64);
-
 /// The dispatch state machine the combiner drives.
 #[derive(Debug)]
 pub struct DispatchCore {
     sys: TaskSystem,
-    keys: KeyCache<Pd2Key>,
-    mode: Mode,
+    kernel: OnlineDvq,
     fault: FaultPlan,
     seed: u64,
     regime: JitterRegime,
-    m: u32,
-    now: Time,
     started: bool,
-    tasks: Vec<TaskState>,
-    ready: BinaryHeap<Reverse<(Pd2Key, u32)>>,
-    ready_spec: Vec<Option<SubSpec>>,
-    events: BinaryHeap<Reverse<(Time, Ev)>>,
-    free: Vec<u32>,
-    running: Vec<Option<RunningQuantum>>,
     /// Deterministic mode: has the worker physically reported the quantum
-    /// dispatched to this processor?
-    phys_done: Vec<bool>,
-    /// Quanta dispatched but not yet logically freed.
-    outstanding: u32,
-    /// The instant currently being batch-drained, if any.
-    batch: Option<Time>,
-    log: Vec<OnlineAssignment>,
-    /// Assignments dispatched since the last [`Self::take_assignments`]:
-    /// the combiner delivers these to worker mailboxes.
-    pending: Vec<OnlineAssignment>,
-    obs: RecordingObserver,
+    /// in flight on this processor?
+    reported: Vec<bool>,
+    /// Log entries already handed out by [`Self::take_assignments`].
+    taken: usize,
+    obs: Recorder,
 }
 
 impl DispatchCore {
@@ -186,63 +121,43 @@ impl DispatchCore {
         mode: Mode,
         fault: FaultPlan,
     ) -> DispatchCore {
-        assert!(m >= 1, "need at least one processor");
-        let keys = KeyCache::build(&sys);
-        let tasks = sys
-            .tasks()
-            .iter()
-            .map(|t| TaskState {
-                weight: t.weight,
-                jobs: 0,
-                last_release: None,
-                queue: VecDeque::new(),
-                pred_completion: Rat::ZERO,
-                chain_busy: false,
-                head_armed: false,
-            })
-            .collect();
-        let num_tasks = sys.num_tasks();
+        let mut kernel = OnlineDvq::new(m).in_mode(mode);
+        for t in sys.tasks() {
+            kernel.add_task(t.weight);
+        }
         DispatchCore {
             sys,
-            keys,
-            mode,
+            kernel,
             fault,
             seed,
             regime,
-            m,
-            now: Rat::ZERO,
             started: false,
-            tasks,
-            ready: BinaryHeap::new(),
-            ready_spec: vec![None; num_tasks],
-            events: BinaryHeap::new(),
-            free: (0..m).collect(),
-            running: vec![None; m as usize],
-            phys_done: vec![false; m as usize],
-            outstanding: 0,
-            batch: None,
-            log: Vec::new(),
-            pending: Vec::new(),
-            obs: RecordingObserver::new(),
+            reported: vec![false; m as usize],
+            taken: 0,
+            obs: Recorder {
+                events: Vec::new(),
+                tear: fault == FaultPlan::TornDispatchBatch,
+                prev_proc: None,
+            },
         }
     }
 
     /// The execution mode.
     #[must_use]
     pub fn mode(&self) -> Mode {
-        self.mode
+        self.kernel.mode()
     }
 
     /// The number of virtual processors.
     #[must_use]
     pub fn num_procs(&self) -> u32 {
-        self.m
+        self.kernel.num_processors()
     }
 
     /// Submits the next job of `task`, released at `at` — the `Submit`
-    /// request handler. Mirrors `OnlineDvq::submit_job_observed`, with the
-    /// spec windows cross-checked against the owned [`TaskSystem`] so the
-    /// KeyCache lookups are guaranteed fresh.
+    /// request handler. Every subtask the kernel derives is cross-checked
+    /// against the owned [`TaskSystem`], so replay judges the schedule
+    /// against exactly the windows it was dispatched by.
     ///
     /// # Panics
     /// The driver controls submissions, so violations (sporadic separation,
@@ -254,48 +169,23 @@ impl DispatchCore {
             "all arrivals must be published before Begin (T{} at {at})",
             task.0
         );
-        let state = &mut self.tasks[task.idx()];
-        if let Some(prev) = state.last_release {
-            assert!(
-                at >= prev + state.weight.p(),
-                "sporadic separation violated: T{} released at {at}, earliest {}",
-                task.0,
-                prev + state.weight.p()
-            );
-        }
-        let w = state.weight;
-        let j = state.jobs;
-        let theta = at - i64::try_from(j).expect("job count fits i64") * w.p();
-        let e = u64::try_from(w.e()).expect("execution requirement is positive");
-        let first = j * e + 1;
-        for index in first..first + e {
-            let id = SubtaskId { task, index };
-            let st = self
-                .sys
+        let (sys, fault) = (&self.sys, self.fault);
+        let mut key = |id, fresh| {
+            let st = sys
                 .find(id)
-                .unwrap_or_else(|| panic!("T{}_{index} submitted but not in the system", task.0));
-            let s = self.sys.subtask(st);
+                .unwrap_or_else(|| panic!("{id:?} submitted but not in the system"));
+            let s = sys.subtask(st);
             assert!(
-                s.theta == theta && s.eligible == theta + window::release(w, index),
-                "system subtask T{}_{index} disagrees with the submission plan \
-                 (theta {} vs {theta}): the KeyCache would serve a wrong key",
-                task.0,
+                Pd2Key::of_subtask(sys, st) == fresh
+                    && s.eligible == s.theta + window::release(sys.task(id.task).weight, id.index),
+                "system subtask {id:?} disagrees with the submission plan (theta {})",
                 s.theta
             );
-            let spec = SubSpec {
-                index,
-                st,
-                eligible: s.eligible,
-                deadline: s.deadline,
-            };
-            self.obs
-                .on_event(&SchedEvent::Released { id, at: s.eligible });
-            self.tasks[task.idx()].queue.push_back(spec);
-        }
-        let state = &mut self.tasks[task.idx()];
-        state.jobs += 1;
-        state.last_release = Some(at);
-        self.arm_head(task);
+            dispatch_key(sys, fault, st)
+        };
+        self.kernel
+            .submit_job_keyed(task, at, &mut key, &mut self.obs)
+            .unwrap_or_else(|e| panic!("T{} at {at}: {e}", task.0));
     }
 
     /// The `Begin` request handler: arrivals are complete, event
@@ -310,14 +200,14 @@ impl DispatchCore {
     /// Deterministic mode: worker `proc` physically finished its quantum.
     pub fn mark_done(&mut self, proc: u32) {
         assert!(
-            self.mode == Mode::Deterministic,
+            self.mode() == Mode::Deterministic,
             "mark_done is the deterministic-mode completion path"
         );
         assert!(
-            self.running[proc as usize].is_some(),
+            self.kernel.in_flight(proc).is_some(),
             "processor {proc} reported done while idle"
         );
-        self.phys_done[proc as usize] = true;
+        self.reported[proc as usize] = true;
     }
 
     /// The logical completion time of the quantum in flight on `proc` —
@@ -326,322 +216,105 @@ impl DispatchCore {
     /// batches, never within one.
     #[must_use]
     pub fn completion_of(&self, proc: u32) -> Time {
-        self.running[proc as usize]
-            .as_ref()
-            .map(|&(_, completion, _)| completion)
+        self.kernel
+            .in_flight(proc)
             .expect("queried completion of an idle processor")
     }
 
     /// Free-running mode: apply worker `proc`'s completion now, at logical
-    /// time `max(now, completion)`. Activations that logically precede the
-    /// completion are processed first; if the report arrives late (another
-    /// processor's later completion already advanced `now`), the freed
-    /// processor simply idled the gap — visible in the replayed schedule
-    /// as capacity loss, never as an invalid placement.
+    /// time `max(now, completion)` — see
+    /// [`OnlineDvq::complete_observed`].
     pub fn complete_unordered(&mut self, proc: u32) {
-        assert!(
-            self.mode == Mode::FreeRunning,
-            "complete_unordered is the free-running completion path"
+        let (seed, regime) = (self.seed, self.regime);
+        self.kernel.complete_observed(
+            proc,
+            &mut |task, index| quantum_cost(seed, regime, task, index),
+            &mut self.obs,
         );
-        let (id, completion, deadline) = self.running[proc as usize]
-            .take()
-            .expect("processor reported done while idle");
-        // Logically-earlier activations come first.
-        self.drain_events_below(completion);
-        let eff = self.now.max(completion);
-        self.ensure_batch(eff);
-        self.finish_quantum(proc, id, completion, deadline);
     }
 
     /// Processes logical events until input is needed: a physical
     /// completion (both modes) or, deterministic mode, the specific worker
-    /// the next `ProcFree` waits on. Dispatch decisions land in the
+    /// the next completion waits on. Dispatch decisions land in the
     /// pending-assignment buffer ([`Self::take_assignments`]).
     pub fn advance(&mut self) -> Status {
         if !self.started {
             return Status::Idle;
         }
-        loop {
-            let Some(&Reverse((t, ev))) = self.events.peek() else {
-                self.close_batch();
-                return if self.outstanding == 0 && self.ready.is_empty() {
-                    Status::Done
-                } else {
-                    Status::Idle
-                };
-            };
-            let eff = self.now.max(t);
-            if let Some(bt) = self.batch {
-                if eff > bt {
-                    self.close_batch();
-                    continue;
-                }
-            }
-            match self.mode {
-                Mode::Deterministic => {
-                    if let Ev::ProcFree(proc, _) = ev {
-                        if !self.phys_done[proc as usize] {
-                            // Mid-batch stalls keep the batch open: the
-                            // instant is not fully drained, so dispatching
-                            // now would diverge from `OnlineDvq`.
-                            return Status::Stalled;
-                        }
-                    }
-                }
-                Mode::FreeRunning => {
-                    if self.outstanding > 0 && eff >= self.min_outstanding() {
-                        // An in-flight quantum logically completes first;
-                        // wait for its worker.
-                        return Status::Idle;
-                    }
-                }
-            }
-            self.ensure_batch(eff);
-            let Reverse((_, ev)) = self.events.pop().expect("peeked event still queued");
-            match ev {
-                Ev::ProcFree(proc, _) => {
-                    let (id, completion, deadline) = self.running[proc as usize]
-                        .take()
-                        .expect("a freed processor was running a quantum");
-                    self.phys_done[proc as usize] = false;
-                    self.finish_quantum(proc, id, completion, deadline);
-                }
-                Ev::Activate(task) => self.activate(task),
-            }
+        let (seed, regime, reported) = (self.seed, self.regime, &mut self.reported);
+        let waiting = self.kernel.advance_observed(
+            &mut |proc| std::mem::take(&mut reported[proc as usize]),
+            &mut |task, index| quantum_cost(seed, regime, task, index),
+            &mut self.obs,
+        );
+        if waiting && self.mode() == Mode::Deterministic {
+            Status::Stalled
+        } else if (0..self.num_procs()).any(|p| self.kernel.in_flight(p).is_some()) {
+            Status::Idle
+        } else {
+            Status::Done
         }
     }
 
     /// Assignments dispatched since the last call, in dispatch order; the
     /// combiner delivers them to worker mailboxes.
     pub fn take_assignments(&mut self) -> Vec<OnlineAssignment> {
-        std::mem::take(&mut self.pending)
+        let fresh = self.kernel.full_log()[self.taken..].to_vec();
+        self.taken += fresh.len();
+        fresh
     }
 
     /// Consumes the core: the full dispatch log and the recorded event
     /// stream.
     #[must_use]
     pub fn into_parts(self) -> (Vec<OnlineAssignment>, Vec<SchedEvent>) {
-        (self.log, self.obs.into_events())
+        (self.kernel.full_log().to_vec(), self.obs.events)
     }
+}
 
-    /// Earliest logical completion among in-flight quanta.
-    fn min_outstanding(&self) -> Time {
-        self.running
-            .iter()
-            .flatten()
-            .map(|&(_, completion, _)| completion)
-            .min()
-            .expect("outstanding > 0 implies an in-flight quantum")
+/// The key subtask `st` is dispatched by. The
+/// [`FaultPlan::StaleKeyCacheRead`] mutant serves the *previous*
+/// subtask's key — the value a racing reader would see before the slot
+/// for this subtask lands.
+fn dispatch_key(sys: &TaskSystem, fault: FaultPlan, st: SubtaskRef) -> Pd2Key {
+    match (fault, sys.subtask(st).pred) {
+        (FaultPlan::StaleKeyCacheRead, Some(pred)) => Pd2Key::of_subtask(sys, pred),
+        _ => Pd2Key::of_subtask(sys, st),
     }
+}
 
-    /// Processes heap events whose effective instant is strictly below
-    /// `limit` (free-running helper; the heap holds only activations).
-    fn drain_events_below(&mut self, limit: Time) {
-        while let Some(&Reverse((t, ev))) = self.events.peek() {
-            let eff = self.now.max(t);
-            if eff >= limit {
-                break;
-            }
-            if let Some(bt) = self.batch {
-                if eff > bt {
-                    self.close_batch();
-                    continue;
+/// The core's event recorder. Under [`FaultPlan::TornDispatchBatch`] it
+/// records every `QuantumStart` after the first of one dispatch batch
+/// (the starts between two `Tick`s) with the previous start's processor;
+/// the kernel's execution and log stay correct.
+#[derive(Debug)]
+struct Recorder {
+    events: Vec<SchedEvent>,
+    tear: bool,
+    prev_proc: Option<u32>,
+}
+
+impl Observer for Recorder {
+    fn on_event(&mut self, ev: &SchedEvent) {
+        let mut ev = ev.clone();
+        match &mut ev {
+            SchedEvent::Tick { .. } => self.prev_proc = None,
+            SchedEvent::QuantumStart { proc, .. } if self.tear => {
+                if let Some(prev) = self.prev_proc.replace(*proc) {
+                    *proc = prev;
                 }
             }
-            self.ensure_batch(eff);
-            self.events.pop();
-            match ev {
-                Ev::ProcFree(..) => {
-                    unreachable!("free-running mode keeps completions out of the heap")
-                }
-                Ev::Activate(task) => self.activate(task),
-            }
+            _ => {}
         }
-    }
-
-    /// Opens the batch at instant `eff` (emitting its `Tick`) if no batch
-    /// is open; closes and reopens if `eff` moved past an open batch.
-    fn ensure_batch(&mut self, eff: Time) {
-        if let Some(bt) = self.batch {
-            if eff == bt {
-                return;
-            }
-            self.close_batch();
-        }
-        self.batch = Some(eff);
-        self.now = eff;
-        self.obs.on_event(&SchedEvent::Tick { at: eff });
-    }
-
-    /// Logically frees `proc` after its quantum: deadline verdict, freeing,
-    /// and re-arming the task's chain. The caller has already taken the
-    /// quantum out of `running` and opened the batch the freeing lands in.
-    fn finish_quantum(&mut self, proc: u32, id: SubtaskId, completion: Time, deadline: i64) {
-        self.obs.on_event(&SchedEvent::QuantumEnd {
-            id,
-            proc,
-            completion,
-            deadline,
-            waste: Rat::ZERO,
-        });
-        let d = Rat::int(deadline);
-        if completion > d {
-            self.obs.on_event(&SchedEvent::DeadlineMiss {
-                id,
-                completion,
-                deadline,
-                tardiness: completion - d,
-            });
-        } else {
-            self.obs.on_event(&SchedEvent::DeadlineHit {
-                id,
-                completion,
-                deadline,
-            });
-        }
-        self.free.push(proc);
-        self.outstanding -= 1;
-        let state = &mut self.tasks[id.task.idx()];
-        state.chain_busy = false;
-        self.arm_head(id.task);
-    }
-
-    /// The `Activate` handler: moves the chain head to the ready queue,
-    /// keyed from the KeyCache.
-    fn activate(&mut self, task: TaskId) {
-        let batch_t = self.batch.expect("activation happens inside a batch");
-        let state = &mut self.tasks[task.idx()];
-        state.head_armed = false;
-        if state.chain_busy {
-            return; // stale arm
-        }
-        let Some(spec) = state.queue.pop_front() else {
-            return;
-        };
-        state.chain_busy = true;
-        let cause = if batch_t == Rat::int(spec.eligible) {
-            ReadyCause::Eligibility
-        } else {
-            ReadyCause::Predecessor
-        };
-        self.obs.on_event(&SchedEvent::Ready {
-            id: SubtaskId {
-                task,
-                index: spec.index,
-            },
-            at: batch_t,
-            cause,
-        });
-        let key = self.key_for(spec.st);
-        self.ready.push(Reverse((key, task.0)));
-        self.ready_spec[task.idx()] = Some(spec);
-    }
-
-    /// The KeyCache read backing the dispatch pass. The
-    /// [`FaultPlan::StaleKeyCacheRead`] mutant serves the *previous*
-    /// subtask's slot — the value a racing reader would see before the
-    /// cache line for this subtask lands.
-    fn key_for(&self, st: SubtaskRef) -> Pd2Key {
-        if self.fault == FaultPlan::StaleKeyCacheRead {
-            if let Some(pred) = self.sys.subtask(st).pred {
-                return self.keys.key(pred);
-            }
-        }
-        self.keys.key(st)
-    }
-
-    /// Arms the chain head's activation event if the task has pending work
-    /// and nothing of it is ready/running.
-    fn arm_head(&mut self, task: TaskId) {
-        let state = &mut self.tasks[task.idx()];
-        if state.chain_busy || state.head_armed {
-            return;
-        }
-        let Some(head) = state.queue.front() else {
-            return;
-        };
-        let act = Rat::int(head.eligible).max(state.pred_completion);
-        state.head_armed = true;
-        self.events.push(Reverse((act, Ev::Activate(task))));
-    }
-
-    /// Closes the open batch: one KeyCache-backed PD² dispatch pass over
-    /// the drained instant, handing free processors (lowest index first)
-    /// to ready subtasks in priority order.
-    fn close_batch(&mut self) {
-        let Some(t) = self.batch.take() else {
-            return;
-        };
-        self.free.sort_unstable_by(|a, b| b.cmp(a));
-        let mut prev_proc: Option<u32> = None;
-        while !self.free.is_empty() && !self.ready.is_empty() {
-            let Reverse((_, task_raw)) = self.ready.pop().expect("ready nonempty");
-            let task = TaskId(task_raw);
-            let spec = self.ready_spec[task.idx()]
-                .take()
-                .expect("ready entry has a spec");
-            let proc = self.free.pop().expect("free nonempty");
-            let c = quantum_cost(self.seed, self.regime, task, spec.index);
-            assert!(
-                c.is_positive() && c <= Rat::ONE,
-                "jitter produced cost {c} outside (0, 1]"
-            );
-            let completion = self.now + c;
-            let id = SubtaskId {
-                task,
-                index: spec.index,
-            };
-            // The torn-batch mutant records later entries of a
-            // multi-assignment batch with the previous entry's processor;
-            // the *execution* (mailboxes, log) stays correct.
-            let recorded_proc = match (self.fault, prev_proc) {
-                (FaultPlan::TornDispatchBatch, Some(prev)) => prev,
-                _ => proc,
-            };
-            self.obs.on_event(&SchedEvent::QuantumStart {
-                id,
-                proc: recorded_proc,
-                start: self.now,
-                cost: c,
-                holds_until: completion,
-                deadline: spec.deadline,
-                bbit: self.keys.key(spec.st).bbit,
-                group_deadline: self.keys.key(spec.st).group_deadline,
-            });
-            self.running[proc as usize] = Some((id, completion, spec.deadline));
-            self.phys_done[proc as usize] = false;
-            self.outstanding += 1;
-            let assignment = OnlineAssignment {
-                task,
-                index: spec.index,
-                proc,
-                start: self.now,
-                cost: c,
-                deadline: spec.deadline,
-            };
-            self.log.push(assignment.clone());
-            self.pending.push(assignment);
-            self.tasks[task.idx()].pred_completion = completion;
-            if self.mode == Mode::Deterministic {
-                self.events
-                    .push(Reverse((completion, Ev::ProcFree(proc, task))));
-            }
-            prev_proc = Some(proc);
-        }
-        if !self.free.is_empty() {
-            self.obs.on_event(&SchedEvent::Idle {
-                at: t,
-                procs: u32::try_from(self.free.len()).expect("m fits u32"),
-            });
-        }
+        self.events.push(ev);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfair_online::OnlineDvq;
-    use pfair_taskmodel::TaskSystemBuilder;
+    use pfair_obs::RecordingObserver;
+    use pfair_taskmodel::{SubtaskId, TaskSystemBuilder, Weight};
 
     /// A periodic system plus its submission plan: every task releases
     /// `jobs` back-to-back jobs from time 0.
@@ -669,27 +342,24 @@ mod tests {
 
     /// Drives the core synchronously: whenever it stalls or idles, the
     /// earliest-completing in-flight quantum reports done.
-    fn drive(core: &mut DispatchCore) -> (Vec<OnlineAssignment>, Vec<SchedEvent>) {
+    fn drive(mut core: DispatchCore) -> (Vec<OnlineAssignment>, Vec<SchedEvent>) {
         core.begin();
-        loop {
-            match core.advance() {
-                Status::Done => break,
-                Status::Stalled | Status::Idle => {
-                    let proc = (0..core.m)
-                        .filter(|&p| core.running[p as usize].is_some())
-                        .min_by_key(|&p| (core.completion_of(p), p))
-                        .expect("a stalled core has in-flight work");
-                    match core.mode {
-                        Mode::Deterministic => core.mark_done(proc),
-                        Mode::FreeRunning => core.complete_unordered(proc),
-                    }
-                }
+        while core.advance() != Status::Done {
+            let proc = earliest_in_flight(&core);
+            match core.mode() {
+                Mode::Deterministic => core.mark_done(proc),
+                Mode::FreeRunning => core.complete_unordered(proc),
             }
             core.take_assignments();
         }
-        let taken = std::mem::take(&mut core.log);
-        let events = std::mem::take(&mut core.obs).into_events();
-        (taken, events)
+        core.into_parts()
+    }
+
+    fn earliest_in_flight(core: &DispatchCore) -> u32 {
+        (0..core.num_procs())
+            .filter(|&p| core.kernel.in_flight(p).is_some())
+            .min_by_key(|&p| (core.completion_of(p), p))
+            .expect("a waiting core has in-flight work")
     }
 
     fn reference(
@@ -729,7 +399,7 @@ mod tests {
             for &(t, at) in &plan {
                 core.submit(t, at);
             }
-            let (log, events) = drive(&mut core);
+            let (log, events) = drive(core);
             let (ref_log, ref_events) = reference(&sys, &plan, 2, seed, JitterRegime::Adversarial);
             assert_eq!(log, ref_log, "schedule diverged at seed {seed}");
             assert_eq!(events, ref_events, "event stream diverged at seed {seed}");
@@ -752,7 +422,7 @@ mod tests {
         for &(t, at) in &plan {
             core.submit(t, at);
         }
-        let (log, _) = drive(&mut core);
+        let (log, _) = drive(core);
         let (ref_log, _) = reference(&sys, &plan, 2, 11, JitterRegime::Mild);
         assert_eq!(log, ref_log);
     }
@@ -781,21 +451,13 @@ mod tests {
         let (late, early) = if a >= b { (0u32, 1u32) } else { (1, 0) };
         core.complete_unordered(late); // out of logical order
         core.complete_unordered(early);
-        loop {
-            match core.advance() {
-                Status::Done => break,
-                _ => {
-                    let proc = (0..2)
-                        .filter(|&p| core.running[p as usize].is_some())
-                        .min_by_key(|&p| (core.completion_of(p), p))
-                        .expect("in-flight work");
-                    core.complete_unordered(proc);
-                }
-            }
+        while core.advance() != Status::Done {
+            core.complete_unordered(earliest_in_flight(&core));
             core.take_assignments();
         }
-        assert_eq!(core.log.len(), 4, "both jobs of both tasks dispatched");
-        for w in core.log.windows(2) {
+        let (log, _) = core.into_parts();
+        assert_eq!(log.len(), 4, "both jobs of both tasks dispatched");
+        for w in log.windows(2) {
             assert!(w[0].start <= w[1].start, "dispatch log left time order");
         }
     }
@@ -815,35 +477,21 @@ mod tests {
                 index: 2,
             })
             .expect("T0_2 exists");
-        let clean = DispatchCore::new(
-            sys.clone(),
-            1,
-            0,
-            JitterRegime::None,
-            Mode::Deterministic,
-            FaultPlan::None,
-        );
-        let stale = DispatchCore::new(
-            sys,
-            1,
-            0,
-            JitterRegime::None,
-            Mode::Deterministic,
-            FaultPlan::StaleKeyCacheRead,
-        );
-        assert_eq!(clean.key_for(a2), clean.keys.key(a2));
+        let key = |st| Pd2Key::of_subtask(&sys, st);
+        let stale = |st| dispatch_key(&sys, FaultPlan::StaleKeyCacheRead, st);
+        assert_eq!(dispatch_key(&sys, FaultPlan::None, a2), key(a2));
         assert_eq!(
-            stale.key_for(a2),
-            stale.keys.key(a1),
-            "the stale read serves the predecessor's cache slot"
+            stale(a2),
+            key(a1),
+            "the stale read serves the predecessor's slot"
         );
         assert_ne!(
-            stale.key_for(a2),
-            stale.keys.key(a2),
+            stale(a2),
+            key(a2),
             "weight 2/5 gives T0_1 and T0_2 distinct keys, so the tear is visible"
         );
         // Chain heads have no predecessor: the stale read is invisible there.
-        assert_eq!(stale.key_for(a1), stale.keys.key(a1));
+        assert_eq!(stale(a1), key(a1));
     }
 
     #[test]
@@ -863,7 +511,7 @@ mod tests {
             for &(t, at) in &plan {
                 core.submit(t, at);
             }
-            drive(&mut core)
+            drive(core)
         };
         let (clean_log, clean_events) = run(FaultPlan::None);
         let (torn_log, torn_events) = run(FaultPlan::TornDispatchBatch);

@@ -33,10 +33,10 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 use pfair_obs::SchedEvent;
-use pfair_online::OnlineAssignment;
+use pfair_online::{Mode, OnlineAssignment};
 use pfair_taskmodel::{TaskId, TaskSystem};
 
-use crate::core::{DispatchCore, FaultPlan, Mode, Request, Status};
+use crate::core::{DispatchCore, FaultPlan, Request, Status};
 use crate::jitter::JitterRegime;
 use crate::lock::DelegationLock;
 

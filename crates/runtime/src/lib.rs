@@ -9,14 +9,15 @@
 //! centralized through a flat-combining delegation lock ([`lock`]):
 //! workers publish yield/arrival/completion requests into per-worker
 //! slots, and whichever worker holds the combiner role drains the batch
-//! and runs one KeyCache-backed PD² dispatch pass over the deterministic
-//! core ([`core`]).
+//! into the dispatch core ([`core`]): the online PD²-DVQ kernel,
+//! [`pfair_online::OnlineDvq`], behind a completion gate.
 //!
-//! Correctness is *proven per run*, two ways ([`exec`]):
+//! Correctness is *proven per run*, two ways ([`exec`]), one per
+//! completion [`Mode`]:
 //!
 //! * **Deterministic mode** imposes a logical-time barrier on completions,
 //!   making the schedule bit-identical to the single-threaded
-//!   [`pfair_online::OnlineDvq`] reference regardless of thread timing.
+//!   `OnlineDvq` reference regardless of thread timing.
 //! * **Free-running mode** lets physical timing order completions; the
 //!   recorded event stream is then replayed through
 //!   `pfair_sim::replay_events` into the conformance bank, which checks
@@ -31,7 +32,8 @@ pub mod exec;
 pub mod jitter;
 pub mod lock;
 
-pub use crate::core::{DispatchCore, FaultPlan, Mode, Request, Status};
+pub use crate::core::{DispatchCore, FaultPlan, Request, Status};
 pub use crate::exec::{execute, RuntimeConfig, RuntimeRun};
 pub use crate::jitter::{quantum_cost, JitterRegime};
 pub use crate::lock::DelegationLock;
+pub use pfair_online::Mode;

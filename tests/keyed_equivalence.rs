@@ -225,7 +225,7 @@ proptest! {
         let ws = random_weights(&TaskGenConfig::full(4, 6), seed);
         let sys = releasegen::generate(&ws, &ReleaseConfig::gis(12), seed);
         prop_assume!(sys.num_subtasks() >= 2);
-        let pd2 = KeyCache::<pfair::online::Pd2Key>::build(&sys);
+        let pd2 = KeyCache::<Pd2Key>::build(&sys);
         let epdf = KeyCache::<EpdfKey>::build(&sys);
         let pd = KeyCache::<PdKey>::build(&sys);
         for (a, _) in sys.iter_refs() {
