@@ -74,13 +74,17 @@ pub fn k_compliant_system(sys_b: &TaskSystem, rank_order: &[SubtaskRef], k: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfair_core::pdb::PdbLinearization;
     use pfair_core::Pd2;
     use pfair_numeric::Rat;
-    use pfair_sim::{simulate_sfq, simulate_sfq_pdb, FullQuantum};
+    use pfair_sim::{run, simulate_sfq, Engine, FullQuantum, NoopObserver};
     use pfair_taskmodel::release;
 
     use crate::tardiness::tardiness_stats;
     use crate::validity::{check_structural, check_window_containment};
+
+    /// The paper's worst-case PD^B engine.
+    const PDB: Engine<'static> = Engine::Pdb(PdbLinearization::MaxBlocking);
 
     fn fig6_system() -> TaskSystem {
         // Fig. 6: "three tasks of weight 1/6 each and three other tasks of
@@ -101,7 +105,7 @@ mod tests {
     #[test]
     fn ranks_cover_all_subtasks_in_schedule_order() {
         let sys = fig6_system();
-        let sched = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
+        let sched = run(PDB, &sys, 2, &mut FullQuantum, &mut NoopObserver);
         let order = ranks(&sched);
         assert_eq!(order.len(), sys.num_subtasks());
         // Ranks are nondecreasing in start time.
@@ -113,7 +117,7 @@ mod tests {
     #[test]
     fn zero_compliant_is_plain_right_shift() {
         let sys = fig6_system();
-        let sched = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
+        let sched = run(PDB, &sys, 2, &mut FullQuantum, &mut NoopObserver);
         let order = ranks(&sched);
         let tau0 = k_compliant_system(&sys, &order, 0);
         let shifted = sys.shifted(1, 1);
@@ -123,7 +127,7 @@ mod tests {
     #[test]
     fn full_compliance_keeps_all_eligibilities() {
         let sys = fig6_system();
-        let sched = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
+        let sched = run(PDB, &sys, 2, &mut FullQuantum, &mut NoopObserver);
         let order = ranks(&sched);
         let n = sys.num_subtasks();
         let taun = k_compliant_system(&sys, &order, n);
@@ -140,7 +144,7 @@ mod tests {
         // feasible GIS system, and PD² (optimal under SFQ) schedules it
         // with zero misses.
         let sys = fig6_system();
-        let sched_b = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
+        let sched_b = run(PDB, &sys, 2, &mut FullQuantum, &mut NoopObserver);
         // Fig. 6(a): F_2 misses by exactly one quantum under PD^B.
         let stats_b = tardiness_stats(&sys, &sched_b);
         assert_eq!(stats_b.max, Rat::ONE);

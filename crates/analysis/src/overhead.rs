@@ -155,7 +155,7 @@ mod tests {
     use super::*;
     use pfair_core::Pd2;
     use pfair_numeric::Rat;
-    use pfair_sim::{simulate_sfq, simulate_staggered, FullQuantum, ScaledCost};
+    use pfair_sim::{run, simulate_sfq, Engine, FullQuantum, NoopObserver, ScaledCost};
     use pfair_taskmodel::release;
 
     fn sys4() -> TaskSystem {
@@ -186,7 +186,13 @@ mod tests {
         // Distinct per-processor offsets mean no two quanta ever commence
         // at the same instant (with full costs).
         let sys = sys4();
-        let sched = simulate_staggered(&sys, 4, &Pd2, &mut FullQuantum);
+        let sched = run(
+            Engine::Staggered(&Pd2),
+            &sys,
+            4,
+            &mut FullQuantum,
+            &mut NoopObserver,
+        );
         assert_eq!(peak_simultaneous_starts(&sched), 1);
     }
 
@@ -194,7 +200,7 @@ mod tests {
     fn staggered_contention_stays_low_with_yields() {
         let sys = sys4();
         let mut c = ScaledCost(Rat::new(3, 4));
-        let sched = simulate_staggered(&sys, 4, &Pd2, &mut c);
+        let sched = run(Engine::Staggered(&Pd2), &sys, 4, &mut c, &mut NoopObserver);
         assert!(peak_simultaneous_starts(&sched) <= 2);
     }
 

@@ -222,7 +222,9 @@ pub fn check_window_containment(sys: &TaskSystem, sched: &Schedule) -> Vec<Valid
 mod tests {
     use super::*;
     use pfair_core::{Epdf, Pd2};
-    use pfair_sim::{simulate_dvq, simulate_sfq, simulate_staggered, FixedCosts, FullQuantum};
+    use pfair_sim::{
+        run, simulate_dvq, simulate_sfq, Engine, FixedCosts, FullQuantum, NoopObserver,
+    };
     use pfair_taskmodel::{release, TaskId};
 
     fn fig2_system() -> TaskSystem {
@@ -264,7 +266,13 @@ mod tests {
     #[test]
     fn staggered_structurally_valid() {
         let sys = fig2_system();
-        let sched = simulate_staggered(&sys, 2, &Pd2, &mut FullQuantum);
+        let sched = run(
+            Engine::Staggered(&Pd2),
+            &sys,
+            2,
+            &mut FullQuantum,
+            &mut NoopObserver,
+        );
         assert!(check_structural(&sys, &sched).is_empty());
     }
 

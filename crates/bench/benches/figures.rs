@@ -6,6 +6,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pfair::prelude::*;
 
+/// The paper's worst-case PD^B engine.
+const PDB: Engine<'static> = Engine::Pdb(PdbLinearization::MaxBlocking);
+
 fn fig2_system() -> TaskSystem {
     release::periodic_named(
         &[
@@ -67,11 +70,19 @@ fn bench_figures(c: &mut Criterion) {
     // F2(c)/F6(a): PD^B — tardiness exactly one quantum.
     {
         let sys = fig2_system();
-        let sched = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
+        let sched = run(PDB, &sys, 2, &mut FullQuantum, &mut NoopObserver);
         assert_eq!(tardiness_stats(&sys, &sched).max, Rat::ONE);
         println!("F2c/F6a ok: PD^B tardiness exactly 1");
         g.bench_function("F2c_sfq_pdb", |b| {
-            b.iter(|| simulate_sfq_pdb(std::hint::black_box(&sys), 2, &mut FullQuantum))
+            b.iter(|| {
+                run(
+                    PDB,
+                    std::hint::black_box(&sys),
+                    2,
+                    &mut FullQuantum,
+                    &mut NoopObserver,
+                )
+            })
         });
     }
 
@@ -130,7 +141,7 @@ fn bench_figures(c: &mut Criterion) {
     // F6(b,c): right shift + k-compliance walk.
     {
         let sys = fig2_system();
-        let sched_b = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
+        let sched_b = run(PDB, &sys, 2, &mut FullQuantum, &mut NoopObserver);
         let order = ranks(&sched_b);
         for k in 0..=sys.num_subtasks() {
             let tau_k = k_compliant_system(&sys, &order, k);

@@ -94,10 +94,10 @@ fn bench_observability(c: &mut Criterion) {
     });
     g.bench_function("sfq_noop", |b| {
         b.iter(|| {
-            simulate_sfq_observed(
+            run(
+                Engine::Sfq(&Pd2),
                 std::hint::black_box(&sys),
                 m,
-                &Pd2,
                 &mut FullQuantum,
                 &mut NoopObserver,
             )
@@ -106,10 +106,10 @@ fn bench_observability(c: &mut Criterion) {
     g.bench_function("sfq_metrics", |b| {
         b.iter(|| {
             let mut obs = MetricsObserver::new(m);
-            simulate_sfq_observed(
+            run(
+                Engine::Sfq(&Pd2),
                 std::hint::black_box(&sys),
                 m,
-                &Pd2,
                 &mut FullQuantum,
                 &mut obs,
             )
@@ -120,10 +120,10 @@ fn bench_observability(c: &mut Criterion) {
     g.bench_function("sfq_lag", |b| {
         b.iter(|| {
             let mut obs = LagObserver::new(&sys);
-            let sched = simulate_sfq_observed(
+            let sched = run(
+                Engine::Sfq(&Pd2),
                 std::hint::black_box(&sys),
                 m,
-                &Pd2,
                 &mut FullQuantum,
                 &mut obs,
             );

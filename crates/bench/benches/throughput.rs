@@ -6,10 +6,15 @@
 //!
 //! Run with `cargo bench -p pfair-bench --bench throughput`.
 
+use std::hint::black_box;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pfair::core::Algorithm;
 use pfair::prelude::*;
 use pfair::workload::{random_weights, releasegen};
+
+/// The paper's worst-case PD^B engine.
+const PDB: Engine<'static> = Engine::Pdb(PdbLinearization::MaxBlocking);
 
 /// A deterministic full-utilization system with roughly `n` tasks on `m`
 /// processors (generated with max_period scaled so the task count lands
@@ -35,7 +40,7 @@ fn bench_algorithms(c: &mut Criterion) {
         });
     }
     g.bench_with_input(BenchmarkId::new("sfq", "PD^B"), &sys, |b, sys| {
-        b.iter(|| simulate_sfq_pdb(std::hint::black_box(sys), 8, &mut FullQuantum))
+        b.iter(|| run(PDB, black_box(sys), 8, &mut FullQuantum, &mut NoopObserver))
     });
     g.finish();
 }
@@ -58,16 +63,40 @@ fn bench_models(c: &mut Criterion) {
         })
     });
     g.bench_function("staggered", |b| {
-        b.iter(|| simulate_staggered(std::hint::black_box(&sys), 8, &Pd2, &mut FullQuantum))
+        b.iter(|| {
+            run(
+                Engine::Staggered(&Pd2),
+                black_box(&sys),
+                8,
+                &mut FullQuantum,
+                &mut NoopObserver,
+            )
+        })
     });
     // The competing optimal families: BF decides only at period
     // boundaries (so it should dominate this group), maxflow pays for a
     // Dinic solve over the PF-window network.
     g.bench_function("bf", |b| {
-        b.iter(|| simulate_bf(std::hint::black_box(&sys), 8, &mut FullQuantum))
+        b.iter(|| {
+            run(
+                Engine::Bf,
+                black_box(&sys),
+                8,
+                &mut FullQuantum,
+                &mut NoopObserver,
+            )
+        })
     });
     g.bench_function("flow", |b| {
-        b.iter(|| simulate_flow(std::hint::black_box(&sys), 8, &mut FullQuantum))
+        b.iter(|| {
+            run(
+                Engine::Flow,
+                black_box(&sys),
+                8,
+                &mut FullQuantum,
+                &mut NoopObserver,
+            )
+        })
     });
     g.finish();
 }

@@ -1,17 +1,18 @@
 //! The engine set a campaign exercises.
 //!
-//! An [`Engines`] value bundles the priority orders and simulator entry
-//! points the invariant bank calls. The default, [`REFERENCE`], is the
-//! production PD² stack; mutation tests substitute deliberately broken
-//! components to prove the bank detects them.
+//! An [`Engines`] value bundles the priority orders and simulator slots
+//! the invariant bank calls. The default, [`REFERENCE`], is the production
+//! PD² stack, every slot filled from [`pfair_sim::run`]; mutation tests
+//! substitute deliberately broken components to prove the bank detects
+//! them.
 
+use pfair_core::pdb::PdbLinearization;
 use pfair_core::priority::PriorityOrder;
 use pfair_core::Pd2;
 use pfair_numeric::Rat;
-use pfair_obs::{BlockingObserver, BlockingRecord, LagObserver};
+use pfair_obs::{BlockingObserver, BlockingRecord, LagObserver, NoopObserver};
 use pfair_sim::{
-    simulate_bf, simulate_dvq, simulate_dvq_observed, simulate_flow, simulate_sfq,
-    simulate_sfq_observed, simulate_sfq_pdb, simulate_staggered, CostModel, Schedule,
+    run, simulate_dvq, simulate_dvq_observed, simulate_sfq, CostModel, Engine, Schedule,
 };
 use pfair_taskmodel::TaskSystem;
 
@@ -26,25 +27,11 @@ pub type PdbFn = fn(&TaskSystem, u32, &mut dyn CostModel) -> Schedule;
 pub type ObservedDvqFn =
     fn(&TaskSystem, u32, &dyn PriorityOrder, &mut dyn CostModel) -> (Schedule, Vec<BlockingRecord>);
 
-/// Which simulator shape a lag probe drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProbeSim {
-    /// Synchronized fixed quanta.
-    Sfq,
-    /// Desynchronized variable quanta.
-    Dvq,
-}
-
-/// An observed run with a streaming LAG accountant attached: the schedule
-/// plus the streamed per-slot series `(t, LAG(τ, t))` through the system
-/// horizon and its maximum.
-pub type LagProbeFn = fn(
-    &TaskSystem,
-    u32,
-    &dyn PriorityOrder,
-    &mut dyn CostModel,
-    ProbeSim,
-) -> (Schedule, Vec<(i64, Rat)>, Rat);
+/// An observed run of an engine with a streaming LAG accountant attached:
+/// the schedule plus the streamed per-slot series `(t, LAG(τ, t))` through
+/// the system horizon and its maximum.
+pub type LagProbeFn =
+    fn(&TaskSystem, u32, Engine<'_>, &mut dyn CostModel) -> (Schedule, Vec<(i64, Rat)>, Rat);
 
 /// The engines and priority orders one campaign checks against each other.
 #[derive(Clone, Copy, Debug)]
@@ -91,20 +78,16 @@ fn dvq_streaming_blocking(
     (sched, records)
 }
 
-/// The production lag probe: the real observed drivers with a
-/// [`LagObserver`] listening, finished through the system horizon.
+/// The production lag probe: the real engine with a [`LagObserver`]
+/// listening, finished through the system horizon.
 fn streaming_lag_probe(
     sys: &TaskSystem,
     m: u32,
-    order: &dyn PriorityOrder,
+    engine: Engine<'_>,
     cost: &mut dyn CostModel,
-    sim: ProbeSim,
 ) -> (Schedule, Vec<(i64, Rat)>, Rat) {
     let mut lag = LagObserver::new(sys);
-    let sched = match sim {
-        ProbeSim::Sfq => simulate_sfq_observed(sys, m, order, cost, &mut lag),
-        ProbeSim::Dvq => simulate_dvq_observed(sys, m, order, cost, &mut lag),
-    };
+    let sched = run(engine, sys, m, cost, &mut lag);
     lag.finish(sys.horizon());
     let max = lag.max_lag();
     (sched, lag.series().to_vec(), max)
@@ -118,10 +101,13 @@ pub const REFERENCE: Engines = Engines {
     sfq_order: &Pd2,
     sfq: simulate_sfq,
     dvq: simulate_dvq,
-    staggered: simulate_staggered,
-    pdb: simulate_sfq_pdb,
-    bf: simulate_bf,
-    flow: simulate_flow,
+    staggered: |sys, m, order, cost| run(Engine::Staggered(order), sys, m, cost, &mut NoopObserver),
+    pdb: |sys, m, cost| {
+        let pdb = Engine::Pdb(PdbLinearization::MaxBlocking);
+        run(pdb, sys, m, cost, &mut NoopObserver)
+    },
+    bf: |sys, m, cost| run(Engine::Bf, sys, m, cost, &mut NoopObserver),
+    flow: |sys, m, cost| run(Engine::Flow, sys, m, cost, &mut NoopObserver),
     streaming_blocking: dvq_streaming_blocking,
     lag_probe: streaming_lag_probe,
 };

@@ -19,13 +19,13 @@ use pfair_core::KeyDispatch;
 use pfair_numeric::Rat;
 use pfair_obs::{InversionKind, MetricsObserver, DEFAULT_BUCKETS};
 use pfair_online::OnlineDvq;
-use pfair_sim::{simulate_dvq_observed, simulate_sfq_observed, FullQuantum, Schedule};
+use pfair_sim::{run, Engine, FullQuantum, Schedule};
 use pfair_taskmodel::hyperperiod::{hyperperiod_of_weights, subtasks_per_hyperperiod};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 use pfair_workload::{releasegen, ReleaseConfig};
 
 use crate::case::Case;
-use crate::engines::{Engines, ProbeSim};
+use crate::engines::Engines;
 
 /// One checkable law drawn from the paper's theorems (or from an
 /// implementation-level agreement the repo guarantees).
@@ -312,7 +312,7 @@ impl Invariant for PdbTardinessBound {
 
 /// `true` iff the case is a synchronous periodic system: indices `1..n`
 /// with no IS offsets and no early releasing (partial trailing jobs
-/// allowed) — exactly the class [`pfair_sim::simulate_bf`] is defined on.
+/// allowed) — exactly the class [`pfair_sim::Engine::Bf`] is defined on.
 fn is_sync_periodic(case: &Case) -> bool {
     case.spec.tasks.iter().all(|t| {
         t.subtasks
@@ -959,9 +959,9 @@ impl StreamingPosthocAgreement {
         // models the reduced sums exceed i64 but stay far inside the
         // i128-backed `Rat`, so every generated case is compared — no
         // representability carve-out.
-        for (label, probe) in [("sfq", ProbeSim::Sfq), ("dvq", ProbeSim::Dvq)] {
-            let (sched, series, max) =
-                (engines.lag_probe)(sys, m, engines.keyed_order, &mut case.cost_model(), probe);
+        let order = engines.keyed_order;
+        for (label, engine) in [("sfq", Engine::Sfq(order)), ("dvq", Engine::Dvq(order))] {
+            let (sched, series, max) = (engines.lag_probe)(sys, m, engine, &mut case.cost_model());
             // One post-hoc pass covers the horizon and every slot the
             // stream reports (a tardy DVQ run reports slots past `h`).
             let last = series.iter().map(|&(t, _)| t).fold(h, i64::max);
@@ -989,22 +989,7 @@ impl StreamingPosthocAgreement {
             // deterministic engine (the probe already carries its own
             // observer).
             let mut metrics = MetricsObserver::new(m);
-            let sched = match probe {
-                ProbeSim::Sfq => simulate_sfq_observed(
-                    sys,
-                    m,
-                    engines.keyed_order,
-                    &mut case.cost_model(),
-                    &mut metrics,
-                ),
-                ProbeSim::Dvq => simulate_dvq_observed(
-                    sys,
-                    m,
-                    engines.keyed_order,
-                    &mut case.cost_model(),
-                    &mut metrics,
-                ),
-            };
+            let sched = run(engine, sys, m, &mut case.cost_model(), &mut metrics);
             let stats = tardiness_stats(sys, &sched);
             let worst_id = stats.worst.map(|st| sys.subtask(st).id);
             if metrics.deadline_misses() != stats.misses as u64

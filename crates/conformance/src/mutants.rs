@@ -15,14 +15,14 @@ use pfair_core::priority::PriorityOrder;
 use pfair_core::{Pd2, Pd2NoGroupDeadline};
 use pfair_maxflow::{EdgeId, FlowNetwork};
 use pfair_numeric::{Rat, Time};
-use pfair_obs::{BlockingObserver, BlockingRecord};
+use pfair_obs::{BlockingObserver, BlockingRecord, NoopObserver};
 use pfair_sim::cost::checked_cost;
 use pfair_sim::{
-    simulate_dvq, simulate_dvq_observed, simulate_sfq, CostModel, Placement, QuantumModel, Schedule,
+    run, simulate_dvq, simulate_dvq_observed, CostModel, Engine, Placement, QuantumModel, Schedule,
 };
 use pfair_taskmodel::{SubtaskRef, TaskId, TaskSystem};
 
-use crate::engines::{Engines, ProbeSim, REFERENCE};
+use crate::engines::{Engines, REFERENCE};
 
 /// One deliberately broken engine set.
 #[derive(Clone, Copy, Debug)]
@@ -535,14 +535,10 @@ fn wrap_total_lag(sys: &TaskSystem, sched: &Schedule, t: i64) -> WrapRat {
 fn wrapping_lag_probe(
     sys: &TaskSystem,
     m: u32,
-    order: &dyn PriorityOrder,
+    engine: Engine<'_>,
     cost: &mut dyn CostModel,
-    sim: ProbeSim,
 ) -> (Schedule, Vec<(i64, Rat)>, Rat) {
-    let sched = match sim {
-        ProbeSim::Sfq => simulate_sfq(sys, m, order, cost),
-        ProbeSim::Dvq => simulate_dvq(sys, m, order, cost),
-    };
+    let sched = run(engine, sys, m, cost, &mut NoopObserver);
     let series: Vec<(i64, Rat)> = (0..=sys.horizon())
         .map(|t| (t, wrap_total_lag(sys, &sched, t).to_rat()))
         .collect();

@@ -449,10 +449,11 @@ pub fn graph_findings(scanned: &[ScannedFile], g: &Graph) -> Vec<Diagnostic> {
 }
 
 /// One engine whose emission vocabulary must stay in parity with the
-/// others: its entry-point name prefix and the variants it is declared
-/// exempt from emitting.
+/// others: the crate its driver lives in, its entry-point name prefix and
+/// the variants it is declared exempt from emitting.
 struct EngineSpec {
     name: &'static str,
+    krate: &'static str,
     prefix: &'static str,
     exempt: &'static [&'static str],
 }
@@ -466,36 +467,43 @@ struct EngineSpec {
 const ENGINES: [EngineSpec; 7] = [
     EngineSpec {
         name: "sfq",
+        krate: "sim",
         prefix: "simulate_sfq",
         exempt: &["Released", "Blocked"],
     },
     EngineSpec {
         name: "dvq",
+        krate: "sim",
         prefix: "simulate_dvq",
         exempt: &["Released", "Blocked"],
     },
     EngineSpec {
         name: "staggered",
+        krate: "sim",
         prefix: "simulate_staggered",
         exempt: &["Released", "Blocked"],
     },
     EngineSpec {
         name: "bf",
+        krate: "sim",
         prefix: "simulate_bf",
         exempt: &["Released", "Blocked"],
     },
     EngineSpec {
         name: "flow",
+        krate: "sim",
         prefix: "simulate_flow",
         exempt: &["Released", "Blocked"],
     },
     EngineSpec {
         name: "online-sfq",
+        krate: "online",
         prefix: "tick",
         exempt: &["Blocked"],
     },
     EngineSpec {
         name: "online-dvq",
+        krate: "online",
         prefix: "run_until",
         exempt: &["Blocked"],
     },
@@ -504,12 +512,21 @@ const ENGINES: [EngineSpec; 7] = [
 /// Crates whose function bodies count as engine emission sites.
 const EMITTING: [&str; 2] = ["sim", "online"];
 
-/// Cross-engine emission parity, in three parts: (1) every engine's
-/// constructed-variant set, unioned with its declared exemptions, must
-/// equal every other engine's; (2) an exemption an engine nonetheless
-/// constructs is stale; (3) every `match` over the tracked enum in the
-/// observer crate must enumerate all declared variants with no `_ =>`
-/// wildcard — the vocabulary is closed, and a new variant must be a
+/// Where a diagnostic about `krate` as a whole anchors: its `lib.rs`, if
+/// the scan holds the whole crate (a fixture of loose files does not).
+fn crate_root(scanned: &[ScannedFile], krate: &str) -> Option<String> {
+    let root = format!("crates/{krate}/src/lib.rs");
+    scanned.iter().any(|f| f.path == root).then_some(root)
+}
+
+/// Cross-engine emission parity, in four parts: (0) every engine spec
+/// must match a driver in its crate — when the scan holds that whole
+/// crate, a spec matching nothing is a finding, never a silent skip;
+/// (1) every engine's constructed-variant set, unioned with its declared
+/// exemptions, must equal every other engine's; (2) an exemption an engine
+/// nonetheless constructs is stale; (3) every `match` over the tracked
+/// enum in the observer crate must enumerate all declared variants with no
+/// `_ =>` wildcard — the vocabulary is closed, and a new variant must be a
 /// compile-or-lint-time event in every built-in observer, not a silent
 /// fall-through.
 fn emission_parity(scanned: &[ScannedFile], g: &Graph) -> Vec<Diagnostic> {
@@ -528,10 +545,21 @@ fn emission_parity(scanned: &[ScannedFile], g: &Graph) -> Vec<Diagnostic> {
                 let f = &g.fns[i];
                 !f.in_test
                     && f.name.starts_with(spec.prefix)
-                    && in_crates(&scope_of(&scanned[f.file].path), &EMITTING)
+                    && in_crates(&scope_of(&scanned[f.file].path), &[spec.krate])
             })
             .collect();
         let Some(&entry) = entries.first() else {
+            if let Some(path) = crate_root(scanned, spec.krate) {
+                out.push(Diagnostic {
+                    rule: "emission-parity",
+                    path,
+                    line: 1,
+                    message: format!(
+                        "engine `{}` has no driver: no non-test function in crate `{}` starts with `{}`, so its emissions go unchecked; point the lint's engine table at the renamed driver or drop the engine from it",
+                        spec.name, spec.krate, spec.prefix
+                    ),
+                });
+            }
             continue;
         };
         let parents = g.reach(&entries);

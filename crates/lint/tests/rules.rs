@@ -144,6 +144,49 @@ fn emission_parity_flags_an_engine_missing_a_variant() {
 }
 
 #[test]
+fn emission_parity_flags_an_engine_spec_matching_no_driver() {
+    // The scan holds the whole `sim` crate (its `lib.rs` is present), but
+    // staggered, BF and flow have no `simulate_<family>` driver: each
+    // spec is a finding at the crate root instead of dropping out of the
+    // parity check. The `online` crate is not in the scan, so its engines
+    // are not judged.
+    let lib = "mod sfq;\nmod dvq;\n";
+    let sfq = "fn simulate_sfq_fix(log: &mut Vec<SchedEvent>) {\n    log.push(SchedEvent::Tick { at: 0 });\n}\n";
+    let dvq = "fn drive_dvq(log: &mut Vec<SchedEvent>) {\n    log.push(SchedEvent::Tick { at: 0 });\n}\nfn simulate_dvq_fix(log: &mut Vec<SchedEvent>) {\n    drive_dvq(log);\n}\n";
+    let d = lint_files(&[
+        ("crates/sim/src/lib.rs".to_string(), lib.to_string()),
+        ("crates/sim/src/sfq.rs".to_string(), sfq.to_string()),
+        ("crates/sim/src/dvq.rs".to_string(), dvq.to_string()),
+    ]);
+    assert_eq!(rules_of(&d), ["emission-parity"; 3], "{d:?}");
+    for (diag, (engine, prefix)) in d.iter().zip([
+        ("staggered", "simulate_staggered"),
+        ("bf", "simulate_bf"),
+        ("flow", "simulate_flow"),
+    ]) {
+        assert_eq!(
+            (diag.path.as_str(), diag.line),
+            ("crates/sim/src/lib.rs", 1)
+        );
+        assert!(
+            diag.message
+                .contains(&format!("engine `{engine}` has no driver"))
+                && diag.message.contains(&format!("`{prefix}`")),
+            "{}",
+            diag.message
+        );
+    }
+
+    // A loose fixture without the crate root is not the whole crate: the
+    // missing engines are simply not in it.
+    let d = lint_files(&[
+        ("crates/sim/src/sfq.rs".to_string(), sfq.to_string()),
+        ("crates/sim/src/dvq.rs".to_string(), dvq.to_string()),
+    ]);
+    assert!(d.is_empty(), "{d:?}");
+}
+
+#[test]
 fn emission_parity_honors_exemptions_and_flags_stale_ones() {
     // `Released` is exempt for the offline engines: only the online
     // engine constructing it is NOT a parity break…

@@ -45,7 +45,7 @@
 //! | [`numeric`] | exact rationals, time |
 //! | [`taskmodel`] | periodic/IS/GIS tasks, windows, b-bits, group deadlines |
 //! | [`core`] | EPDF, PD², PF, PD, PD^B priorities |
-//! | [`sim`] | SFQ / DVQ / staggered simulators, cost models |
+//! | [`sim`] | one `Engine` + `run` over SFQ / DVQ / staggered / PD^B / BF / flow, cost models |
 //! | [`obs`] | streaming observers: metrics, exact lag, blocking, JSONL export |
 //! | [`analysis`] | tardiness, validity, lag, blocking, waste |
 //! | [`workload`] | random task systems, stochastic costs, sweep harness |
@@ -81,9 +81,10 @@ pub mod prelude {
         tardiness_stats, waste_stats, BlockingKind, SubtaskClass, SwitchStats, TardinessStats,
         WasteStats,
     };
+    pub use pfair_core::pdb::{self, PdbLinearization};
     pub use pfair_core::{
-        pdb, Algorithm, ComparatorOnly, Epdf, EpdfKey, KeyCache, KeyDispatch, Pd, Pd2, Pd2Key,
-        PdKey, Pf, PriorityOrder, SubtaskKey,
+        Algorithm, ComparatorOnly, Epdf, EpdfKey, KeyCache, KeyDispatch, Pd, Pd2, Pd2Key, PdKey,
+        Pf, PriorityOrder, SubtaskKey,
     };
     pub use pfair_numeric::{QuantumScale, Rat, Time};
     pub use pfair_obs::{
@@ -96,12 +97,9 @@ pub mod prelude {
         RuntimeRun,
     };
     pub use pfair_sim::{
-        is_boundary_periodic, simulate_bf, simulate_bf_observed, simulate_dvq,
-        simulate_dvq_observed, simulate_flow, simulate_flow_observed, simulate_sfq,
-        simulate_sfq_affine, simulate_sfq_affine_observed, simulate_sfq_observed, simulate_sfq_pdb,
-        simulate_sfq_pdb_instrumented, simulate_sfq_pdb_observed, simulate_sfq_pdb_with,
-        simulate_staggered, simulate_staggered_observed, CostModel, ExactOnly, FixedCosts,
-        FullQuantum, PdbSlotStats, Placement, QuantumModel, ScaledCost, Schedule, SfqPolicy,
+        is_boundary_periodic, run, simulate_dvq, simulate_dvq_observed, simulate_sfq,
+        simulate_sfq_pdb_instrumented, CostModel, Engine, ExactOnly, FixedCosts, FullQuantum,
+        PdbSlotStats, Placement, QuantumModel, ScaledCost, Schedule,
     };
     pub use pfair_taskmodel::{
         release, ModelError, Subtask, SubtaskId, SubtaskRef, Task, TaskId, TaskSystem,

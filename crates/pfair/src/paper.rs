@@ -118,7 +118,8 @@
 //!     .with(TaskId(0), 1, Rat::ONE - delta)
 //!     .with(TaskId(5), 1, Rat::ONE - delta);
 //! let dvq = simulate_dvq(&sys, 2, &Pd2, &mut costs);
-//! let pdb = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
+//! let pd_b = Engine::Pdb(PdbLinearization::MaxBlocking);
+//! let pdb = run(pd_b, &sys, 2, &mut FullQuantum, &mut NoopObserver);
 //! // Every DVQ allocation postpones to exactly PD^B's slot:
 //! for (st, _) in sys.iter_refs() {
 //!     assert_eq!(Rat::int(dvq.start(st).ceil()), pdb.start(st));
@@ -158,7 +159,8 @@
 //! let sys_b = release::periodic_named(
 //!     &[("A", 1, 6), ("B", 1, 6), ("C", 1, 6),
 //!       ("D", 1, 2), ("E", 1, 2), ("F", 1, 2)], 6);
-//! let order = ranks(&simulate_sfq_pdb(&sys_b, 2, &mut FullQuantum));
+//! let pd_b = Engine::Pdb(PdbLinearization::MaxBlocking);
+//! let order = ranks(&run(pd_b, &sys_b, 2, &mut FullQuantum, &mut NoopObserver));
 //! for k in 0..=sys_b.num_subtasks() {
 //!     let tau_k = k_compliant_system(&sys_b, &order, k);
 //!     let sched = simulate_sfq(&tau_k, 2, &Pd2, &mut FullQuantum);

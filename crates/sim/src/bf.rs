@@ -30,14 +30,14 @@
 //! Pfair structural bank.
 //!
 //! BF is defined for synchronous periodic systems (subtasks `1..n`, no IS
-//! offsets, no early releasing). [`simulate_bf`] fails fast on anything
-//! else; use [`is_boundary_periodic`] to gate.
+//! offsets, no early releasing). [`Engine::Bf`](crate::Engine::Bf) fails fast
+//! on anything else; use [`is_boundary_periodic`] to gate.
 //!
 //! Like SFQ, BF is slot-based and non-work-conserving: the *schedule* is
 //! independent of the cost model; only completions and waste depend on it.
 
 use pfair_numeric::Rat;
-use pfair_obs::{NoopObserver, Observer};
+use pfair_obs::Observer;
 use pfair_taskmodel::{SubtaskRef, TaskId, TaskSystem};
 
 use crate::cost::CostModel;
@@ -57,22 +57,15 @@ pub fn is_boundary_periodic(sys: &TaskSystem) -> bool {
     })
 }
 
-/// Simulates `sys` on `m` processors under the Boundary-Fair rules.
+/// Simulates `sys` on `m` processors under the Boundary-Fair rules: the
+/// driver behind [`Engine::Bf`](crate::Engine::Bf).
 ///
 /// # Panics
 /// Panics unless `m ≥ 1` and `sys` is synchronous periodic
 /// ([`is_boundary_periodic`]), or if an interval's mandatory demand
 /// exceeds its capacity (impossible on feasible systems; kept as a hard
 /// diagnostic rather than a silent overrun).
-#[must_use]
-pub fn simulate_bf(sys: &TaskSystem, m: u32, cost: &mut dyn CostModel) -> Schedule {
-    simulate_bf_observed(sys, m, cost, &mut NoopObserver)
-}
-
-/// [`simulate_bf`] with a streaming [`Observer`] attached. With
-/// [`NoopObserver`] this monomorphizes to exactly [`simulate_bf`]'s code.
-#[must_use]
-pub fn simulate_bf_observed<O: Observer>(
+pub(crate) fn simulate_bf<O: Observer>(
     sys: &TaskSystem,
     m: u32,
     cost: &mut dyn CostModel,
@@ -203,6 +196,7 @@ fn bf_slot_table(sys: &TaskSystem, m: u32) -> Vec<Cell> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfair_obs::NoopObserver;
     use pfair_taskmodel::release;
     use proptest::prelude::*;
 
@@ -268,7 +262,7 @@ mod tests {
     #[test]
     fn fig2_bf_meets_all_job_deadlines() {
         let sys = fig2_system();
-        let sched = simulate_bf(&sys, 2, &mut FullQuantum);
+        let sched = simulate_bf(&sys, 2, &mut FullQuantum, &mut NoopObserver);
         assert_job_deadlines_met(&sys, &sched);
         assert_capacity_respected(&sys, &sched, 2);
     }
@@ -278,7 +272,7 @@ mod tests {
         // At every multiple of a task's period, the units it has received
         // equal its fluid allocation exactly.
         let sys = release::periodic(&[(2, 5), (1, 2), (3, 10), (1, 5)], 10);
-        let sched = simulate_bf(&sys, 2, &mut FullQuantum);
+        let sched = simulate_bf(&sys, 2, &mut FullQuantum, &mut NoopObserver);
         for task in sys.tasks() {
             let p = task.weight.p();
             let e = task.weight.e();
@@ -305,7 +299,7 @@ mod tests {
         // every job deadline met.
         let sys = release::periodic(&[(1, 2), (1, 3), (1, 6), (2, 2)], 6);
         assert_eq!(sys.utilization(), Rat::int(2));
-        let sched = simulate_bf(&sys, 2, &mut FullQuantum);
+        let sched = simulate_bf(&sys, 2, &mut FullQuantum, &mut NoopObserver);
         assert_job_deadlines_met(&sys, &sched);
         for t in 0..6 {
             assert_eq!(sched.executing_in_slot(t).count(), 2, "slot {t} not full");
@@ -315,8 +309,8 @@ mod tests {
     #[test]
     fn schedule_independent_of_cost_model() {
         let sys = fig2_system();
-        let full = simulate_bf(&sys, 2, &mut FullQuantum);
-        let scaled = simulate_bf(&sys, 2, &mut ScaledCost(Rat::new(1, 3)));
+        let full = simulate_bf(&sys, 2, &mut FullQuantum, &mut NoopObserver);
+        let scaled = simulate_bf(&sys, 2, &mut ScaledCost(Rat::new(1, 3)), &mut NoopObserver);
         for (x, y) in full.placements().iter().zip(scaled.placements()) {
             assert_eq!(x.st, y.st);
             assert_eq!(x.start, y.start);
@@ -330,7 +324,7 @@ mod tests {
         // Horizon not a multiple of the period: the trailing partial job's
         // units are all placed by the final boundary.
         let sys = release::periodic(&[(2, 3)], 4);
-        let sched = simulate_bf(&sys, 1, &mut FullQuantum);
+        let sched = simulate_bf(&sys, 1, &mut FullQuantum, &mut NoopObserver);
         assert_eq!(sched.placements().len(), sys.num_subtasks());
         assert_capacity_respected(&sys, &sched, 1);
     }
@@ -341,7 +335,7 @@ mod tests {
         // Shift windows but not eligibility: an IS offset with early
         // releasing, outside BF's domain.
         let sys = release::periodic(&[(1, 2)], 4).shifted(1, 0);
-        let _ = simulate_bf(&sys, 1, &mut FullQuantum);
+        let _ = simulate_bf(&sys, 1, &mut FullQuantum, &mut NoopObserver);
     }
 
     proptest! {
@@ -361,7 +355,7 @@ mod tests {
             let u = sys.utilization();
             let m = u32::try_from(u.ceil().max(1)).expect("small m");
             prop_assume!(m <= 4);
-            let sched = simulate_bf(&sys, m, &mut FullQuantum);
+            let sched = simulate_bf(&sys, m, &mut FullQuantum, &mut NoopObserver);
             assert_job_deadlines_met(&sys, &sched);
             assert_capacity_respected(&sys, &sched, m);
         }
@@ -387,7 +381,7 @@ mod tests {
             let sys = release::periodic(weights, 2 * hyper);
             let u = sys.utilization();
             let m = u32::try_from(u.ceil().max(1)).expect("small m");
-            let sched = simulate_bf(&sys, m, &mut FullQuantum);
+            let sched = simulate_bf(&sys, m, &mut FullQuantum, &mut NoopObserver);
             assert_job_deadlines_met(&sys, &sched);
             assert_capacity_respected(&sys, &sched, m);
             assert!(mi < menus.len());

@@ -283,6 +283,7 @@ impl ReadySet for ComparatorReady<'_> {
 /// The schedule is identical either way.
 ///
 /// Runs until every released subtask has been scheduled and completed.
+/// Shorthand for `run(Engine::Dvq(order), sys, m, cost, &mut NoopObserver)`.
 #[must_use]
 pub fn simulate_dvq(
     sys: &TaskSystem,
@@ -293,9 +294,10 @@ pub fn simulate_dvq(
     simulate_dvq_observed(sys, m, order, cost, &mut NoopObserver)
 }
 
-/// [`simulate_dvq`] with a streaming [`Observer`] attached. With
-/// [`NoopObserver`] this monomorphizes to exactly [`simulate_dvq`]'s code
-/// (every emission site is gated by the compile-time `O::ENABLED`).
+/// [`simulate_dvq`] with a streaming [`Observer`] attached: the driver
+/// behind [`Engine::Dvq`](crate::Engine::Dvq). With [`NoopObserver`] this
+/// monomorphizes to exactly [`simulate_dvq`]'s code (every emission site is
+/// gated by the compile-time `O::ENABLED`).
 #[must_use]
 pub fn simulate_dvq_observed<O: Observer>(
     sys: &TaskSystem,

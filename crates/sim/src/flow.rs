@@ -23,7 +23,7 @@
 //! and its schedule is independent of the cost model.
 
 use pfair_maxflow::{EdgeId, FlowNetwork};
-use pfair_obs::{NoopObserver, Observer};
+use pfair_obs::Observer;
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
 use crate::cost::CostModel;
@@ -31,22 +31,15 @@ use crate::schedule::{QuantumModel, Schedule};
 use crate::slotplay::{replay, Cell};
 
 /// Simulates `sys` on `m` processors by extracting the schedule from a
-/// saturating max flow over the PF-window network.
+/// saturating max flow over the PF-window network: the driver behind
+/// [`Engine::Flow`](crate::Engine::Flow).
 ///
 /// # Panics
 /// Panics unless `m ≥ 1` and all releases are nonnegative, or if the flow
 /// does not saturate (the system is infeasible on `m` processors — the
 /// campaign generators filter to `U ≤ m`, where saturation is the
 /// classical feasibility result this engine rests on).
-#[must_use]
-pub fn simulate_flow(sys: &TaskSystem, m: u32, cost: &mut dyn CostModel) -> Schedule {
-    simulate_flow_observed(sys, m, cost, &mut NoopObserver)
-}
-
-/// [`simulate_flow`] with a streaming [`Observer`] attached. With
-/// [`NoopObserver`] this monomorphizes to exactly [`simulate_flow`]'s code.
-#[must_use]
-pub fn simulate_flow_observed<O: Observer>(
+pub(crate) fn simulate_flow<O: Observer>(
     sys: &TaskSystem,
     m: u32,
     cost: &mut dyn CostModel,
@@ -177,6 +170,7 @@ fn flow_slot_table(sys: &TaskSystem, m: u32) -> Vec<Cell> {
 mod tests {
     use super::*;
     use pfair_numeric::Rat;
+    use pfair_obs::NoopObserver;
     use pfair_taskmodel::release;
 
     use crate::cost::{FullQuantum, ScaledCost};
@@ -211,7 +205,7 @@ mod tests {
     #[test]
     fn fig2_flow_is_window_valid_and_meets_deadlines() {
         let sys = fig2_system();
-        let sched = simulate_flow(&sys, 2, &mut FullQuantum);
+        let sched = simulate_flow(&sys, 2, &mut FullQuantum, &mut NoopObserver);
         assert_windows_respected(&sys, &sched);
         for t in 0..6 {
             assert!(sched.executing_in_slot(t).count() <= 2);
@@ -225,7 +219,7 @@ mod tests {
     fn full_utilization_saturates_every_slot() {
         let sys = release::periodic(&[(1, 2), (1, 3), (1, 6), (1, 1)], 6);
         assert_eq!(sys.utilization(), Rat::int(2));
-        let sched = simulate_flow(&sys, 2, &mut FullQuantum);
+        let sched = simulate_flow(&sys, 2, &mut FullQuantum, &mut NoopObserver);
         assert_windows_respected(&sys, &sched);
         for t in 0..6 {
             assert_eq!(sched.executing_in_slot(t).count(), 2, "slot {t} not full");
@@ -237,7 +231,7 @@ mod tests {
         // An IS system (offset windows) is still feasible and still
         // window-valid under the flow engine.
         let sys = release::periodic(&[(2, 5), (1, 3), (3, 7)], 21).shifted(2, 2);
-        let sched = simulate_flow(&sys, 2, &mut FullQuantum);
+        let sched = simulate_flow(&sys, 2, &mut FullQuantum, &mut NoopObserver);
         assert_windows_respected(&sys, &sched);
         assert_eq!(sched.placements().len(), sys.num_subtasks());
     }
@@ -245,8 +239,8 @@ mod tests {
     #[test]
     fn schedule_independent_of_cost_model() {
         let sys = fig2_system();
-        let full = simulate_flow(&sys, 2, &mut FullQuantum);
-        let scaled = simulate_flow(&sys, 2, &mut ScaledCost(Rat::new(1, 2)));
+        let full = simulate_flow(&sys, 2, &mut FullQuantum, &mut NoopObserver);
+        let scaled = simulate_flow(&sys, 2, &mut ScaledCost(Rat::new(1, 2)), &mut NoopObserver);
         for (x, y) in full.placements().iter().zip(scaled.placements()) {
             assert_eq!((x.st, x.proc, x.start), (y.st, y.proc, y.start));
         }
@@ -255,7 +249,7 @@ mod tests {
     #[test]
     fn precedence_holds_within_every_task() {
         let sys = release::periodic(&[(3, 4), (2, 3), (5, 12)], 12);
-        let sched = simulate_flow(&sys, 2, &mut FullQuantum);
+        let sched = simulate_flow(&sys, 2, &mut FullQuantum, &mut NoopObserver);
         for task in sys.tasks() {
             let mut prev: Option<i64> = None;
             for st in sys.task_subtask_refs(task.id) {
@@ -273,6 +267,6 @@ mod tests {
     fn rejects_infeasible_demand() {
         // Three unit-weight tasks on one processor: windows cannot fit.
         let sys = release::periodic(&[(1, 1), (1, 1), (1, 1)], 2);
-        let _ = simulate_flow(&sys, 1, &mut FullQuantum);
+        let _ = simulate_flow(&sys, 1, &mut FullQuantum, &mut NoopObserver);
     }
 }

@@ -29,9 +29,20 @@
 //!   PF-window network, patched incrementally task by task. Window-valid
 //!   and zero-tardiness on feasible systems.
 //!
-//! All simulators consume a [`pfair_taskmodel::TaskSystem`] plus a
+//! # One entry point
+//!
+//! An [`Engine`] value names the family (`Sfq`, `SfqAffine`, `Pdb`, `Dvq`,
+//! `Staggered`, `Bf`, `Flow`) and the priority order it dispatches by;
+//! [`run`]`(engine, sys, m, cost, observer)` drives it. An unobserved run
+//! passes [`NoopObserver`]. [`simulate_sfq`], [`simulate_dvq`]
+//! and [`simulate_dvq_observed`] are shorthands for the paper's two models;
+//! [`simulate_sfq_pdb_instrumented`] adds PD^B's per-slot partition
+//! statistics, and [`replay_events`] rebuilds a schedule from a recorded
+//! event stream.
+//!
+//! Every engine consumes a [`pfair_taskmodel::TaskSystem`] plus a
 //! [`cost::CostModel`] assigning each subtask its *actual*
-//! execution cost `c(T_i) ∈ (0, 1]`, and produce a [`Schedule`] — the
+//! execution cost `c(T_i) ∈ (0, 1]`, and produces a [`Schedule`] — the
 //! record of every placement, from which `pfair-analysis` computes
 //! tardiness, validity, blocking events, and waste.
 //!
@@ -49,6 +60,7 @@ pub mod bf;
 pub mod cost;
 pub mod dvq;
 mod emit;
+mod engine;
 pub mod flow;
 pub mod schedule;
 pub mod sfq;
@@ -56,15 +68,13 @@ mod slotplay;
 pub mod staggered;
 mod tdomain;
 
-pub use bf::{bf_boundaries, is_boundary_periodic, simulate_bf, simulate_bf_observed};
+pub use bf::{bf_boundaries, is_boundary_periodic};
 pub use cost::{CostModel, ExactOnly, FixedCosts, FullQuantum, ScaledCost};
 pub use dvq::{simulate_dvq, simulate_dvq_observed};
-pub use flow::{simulate_flow, simulate_flow_observed};
+pub use engine::{run, Engine};
+/// The observer an unobserved [`run`] passes, re-exported so callers need
+/// no direct `pfair-obs` dependency.
+pub use pfair_obs::NoopObserver;
 pub use schedule::{Placement, QuantumModel, Schedule};
-pub use sfq::{
-    run_sfq_observed, simulate_sfq, simulate_sfq_affine, simulate_sfq_affine_observed,
-    simulate_sfq_observed, simulate_sfq_pdb, simulate_sfq_pdb_instrumented,
-    simulate_sfq_pdb_observed, simulate_sfq_pdb_with, AffinityMode, PdbSlotStats, SfqPolicy,
-};
+pub use sfq::{simulate_sfq, simulate_sfq_pdb_instrumented, PdbSlotStats};
 pub use slotplay::replay_events;
-pub use staggered::{simulate_staggered, simulate_staggered_observed};

@@ -14,10 +14,11 @@
 //! run in the very next slot). At most one subtask per task is ready at a
 //! time, so intra-task parallelism is structurally impossible.
 //!
-//! Two drivers are provided: [`simulate_sfq`] for plain priority orders
-//! (EPDF/PD²/PF/PD) and [`simulate_sfq_pdb`] for the paper's PD^B
-//! procedure, which needs the extra readiness fact "did the predecessor
-//! run in slot `t − 1`" to form its `EB/PB/DB` partition.
+//! One driver serves three [`Engine`](crate::Engine) variants: plain
+//! priority orders (`Sfq`, EPDF/PD²/PF/PD), the same with sticky processor
+//! affinity (`SfqAffine`), and the paper's PD^B procedure (`Pdb`), which
+//! needs the extra readiness fact "did the predecessor run in slot
+//! `t − 1`" to form its `EB/PB/DB` partition.
 //!
 //! In the workspace's two-tier time representation (see the `dvq` module
 //! docs and `crate::tdomain`), SFQ *is* the integer tier by construction:
@@ -39,7 +40,7 @@ use crate::schedule::{Placement, QuantumModel, Schedule};
 
 /// Which selection rule an SFQ run uses.
 #[derive(Clone, Copy)]
-pub enum SfqPolicy<'a> {
+pub(crate) enum SfqPolicy<'a> {
     /// Sort the ready set by a priority order; take the top `M`.
     Priority(&'a dyn PriorityOrder),
     /// The PD^B procedure of §3.1 (Table 1) with the given resolution of
@@ -47,17 +48,10 @@ pub enum SfqPolicy<'a> {
     PdB(pdb::PdbLinearization),
 }
 
-impl core::fmt::Debug for SfqPolicy<'_> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            SfqPolicy::Priority(p) => write!(f, "SfqPolicy::Priority({})", p.name()),
-            SfqPolicy::PdB(lin) => write!(f, "SfqPolicy::PdB({lin:?})"),
-        }
-    }
-}
-
 /// Simulates `sys` on `m` processors under the SFQ model with a plain
 /// priority order. Runs until every released subtask is scheduled.
+///
+/// Shorthand for `run(Engine::Sfq(order), sys, m, cost, &mut NoopObserver)`.
 #[must_use]
 pub fn simulate_sfq(
     sys: &TaskSystem,
@@ -65,72 +59,15 @@ pub fn simulate_sfq(
     order: &dyn PriorityOrder,
     cost: &mut dyn CostModel,
 ) -> Schedule {
-    run_sfq(sys, m, SfqPolicy::Priority(order), cost)
-}
-
-/// [`simulate_sfq`] with a streaming [`Observer`] attached. With
-/// [`NoopObserver`] this monomorphizes to exactly [`simulate_sfq`]'s code
-/// (every emission site is gated by the compile-time `O::ENABLED`).
-#[must_use]
-pub fn simulate_sfq_observed<O: Observer>(
-    sys: &TaskSystem,
-    m: u32,
-    order: &dyn PriorityOrder,
-    cost: &mut dyn CostModel,
-    obs: &mut O,
-) -> Schedule {
-    run_sfq_impl(
+    simulate_sfq_with(
         sys,
         m,
         SfqPolicy::Priority(order),
+        AffinityMode::ByDecision,
         cost,
         None,
-        AffinityMode::ByDecision,
-        obs,
+        &mut NoopObserver,
     )
-}
-
-/// Simulates `sys` on `m` processors under the SFQ model with the PD^B
-/// selection procedure.
-#[must_use]
-pub fn simulate_sfq_pdb(sys: &TaskSystem, m: u32, cost: &mut dyn CostModel) -> Schedule {
-    run_sfq(
-        sys,
-        m,
-        SfqPolicy::PdB(pdb::PdbLinearization::MaxBlocking),
-        cost,
-    )
-}
-
-/// [`simulate_sfq_pdb`] with a streaming [`Observer`] attached.
-#[must_use]
-pub fn simulate_sfq_pdb_observed<O: Observer>(
-    sys: &TaskSystem,
-    m: u32,
-    cost: &mut dyn CostModel,
-    obs: &mut O,
-) -> Schedule {
-    run_sfq_impl(
-        sys,
-        m,
-        SfqPolicy::PdB(pdb::PdbLinearization::MaxBlocking),
-        cost,
-        None,
-        AffinityMode::ByDecision,
-        obs,
-    )
-}
-
-/// [`simulate_sfq_pdb`] with an explicit resolution of Table 1's two-way
-/// ties (the paper's worst case is [`pdb::PdbLinearization::MaxBlocking`]).
-#[must_use]
-pub fn simulate_sfq_pdb_with(
-    sys: &TaskSystem,
-    m: u32,
-    cost: &mut dyn CostModel,
-    lin: pdb::PdbLinearization,
-) -> Schedule {
-    run_sfq(sys, m, SfqPolicy::PdB(lin), cost)
 }
 
 /// Per-slot view of the PD^B partition (instrumentation for studying how
@@ -149,7 +86,9 @@ pub struct PdbSlotStats {
     pub scheduled: usize,
 }
 
-/// [`simulate_sfq_pdb`] plus per-slot partition statistics.
+/// The maximally blocking PD^B run
+/// (`Engine::Pdb(PdbLinearization::MaxBlocking)`) plus per-slot partition
+/// statistics.
 #[must_use]
 pub fn simulate_sfq_pdb_instrumented(
     sys: &TaskSystem,
@@ -157,13 +96,13 @@ pub fn simulate_sfq_pdb_instrumented(
     cost: &mut dyn CostModel,
 ) -> (Schedule, Vec<PdbSlotStats>) {
     let mut stats = Vec::new();
-    let sched = run_sfq_impl(
+    let sched = simulate_sfq_with(
         sys,
         m,
         SfqPolicy::PdB(pdb::PdbLinearization::MaxBlocking),
+        AffinityMode::ByDecision,
         cost,
         Some(&mut stats),
-        AffinityMode::ByDecision,
         &mut NoopObserver,
     );
     (sched, stats)
@@ -174,84 +113,13 @@ pub fn simulate_sfq_pdb_instrumented(
 /// Processor mapping never changes *which* subtasks run in a slot — only
 /// where — so tardiness and validity are identical across modes; only
 /// migration counts (`pfair-analysis::overhead`) differ.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AffinityMode {
+#[derive(Clone, Copy)]
+pub(crate) enum AffinityMode {
     /// Decision order → ascending processor index (the paper's figures).
-    #[default]
     ByDecision,
     /// Prefer the processor the task last ran on (reduces migrations, as
     /// real implementations do to preserve cache affinity).
     Sticky,
-}
-
-/// Shared SFQ driver.
-#[must_use]
-pub fn run_sfq(
-    sys: &TaskSystem,
-    m: u32,
-    policy: SfqPolicy<'_>,
-    cost: &mut dyn CostModel,
-) -> Schedule {
-    run_sfq_impl(
-        sys,
-        m,
-        policy,
-        cost,
-        None,
-        AffinityMode::ByDecision,
-        &mut NoopObserver,
-    )
-}
-
-/// [`run_sfq`] with a streaming [`Observer`] attached.
-#[must_use]
-pub fn run_sfq_observed<O: Observer>(
-    sys: &TaskSystem,
-    m: u32,
-    policy: SfqPolicy<'_>,
-    cost: &mut dyn CostModel,
-    obs: &mut O,
-) -> Schedule {
-    run_sfq_impl(sys, m, policy, cost, None, AffinityMode::ByDecision, obs)
-}
-
-/// [`simulate_sfq`] with sticky processor affinity.
-#[must_use]
-pub fn simulate_sfq_affine(
-    sys: &TaskSystem,
-    m: u32,
-    order: &dyn PriorityOrder,
-    cost: &mut dyn CostModel,
-) -> Schedule {
-    run_sfq_impl(
-        sys,
-        m,
-        SfqPolicy::Priority(order),
-        cost,
-        None,
-        AffinityMode::Sticky,
-        &mut NoopObserver,
-    )
-}
-
-/// [`simulate_sfq_affine`] with a streaming [`Observer`] attached.
-#[must_use]
-pub fn simulate_sfq_affine_observed<O: Observer>(
-    sys: &TaskSystem,
-    m: u32,
-    order: &dyn PriorityOrder,
-    cost: &mut dyn CostModel,
-    obs: &mut O,
-) -> Schedule {
-    run_sfq_impl(
-        sys,
-        m,
-        SfqPolicy::Priority(order),
-        cost,
-        None,
-        AffinityMode::Sticky,
-        obs,
-    )
 }
 
 /// Per-slot top-`M` selection for [`SfqPolicy::Priority`] runs.
@@ -315,13 +183,16 @@ fn select_keyed<K: SubtaskKey>(
     ready.extend(scratch.iter().map(|&(_, st)| st));
 }
 
-fn run_sfq_impl<O: Observer>(
+/// The SFQ driver behind [`Engine::Sfq`](crate::Engine::Sfq),
+/// [`Engine::SfqAffine`](crate::Engine::SfqAffine) and
+/// [`Engine::Pdb`](crate::Engine::Pdb).
+pub(crate) fn simulate_sfq_with<O: Observer>(
     sys: &TaskSystem,
     m: u32,
     policy: SfqPolicy<'_>,
+    affinity: AffinityMode,
     cost: &mut dyn CostModel,
     mut pdb_stats: Option<&mut Vec<PdbSlotStats>>,
-    affinity: AffinityMode,
     obs: &mut O,
 ) -> Schedule {
     assert!(m >= 1, "need at least one processor");
@@ -564,6 +435,12 @@ mod tests {
     use pfair_taskmodel::{release, SubtaskId, TaskId};
 
     use crate::cost::FullQuantum;
+    use crate::{run, Engine};
+
+    fn simulate_sfq_pdb(sys: &TaskSystem, m: u32, cost: &mut dyn CostModel) -> Schedule {
+        let pdb = Engine::Pdb(pdb::PdbLinearization::MaxBlocking);
+        run(pdb, sys, m, cost, &mut NoopObserver)
+    }
 
     fn fig2_system() -> TaskSystem {
         release::periodic_named(
@@ -700,8 +577,6 @@ mod tests {
         assert!(stats.iter().all(|s| s.scheduled <= 2));
     }
 
-    use crate::sfq::simulate_sfq_pdb_instrumented;
-
     #[test]
     fn partial_selection_matches_full_sort() {
         // Many more ready tasks than processors: the select-then-sort fast
@@ -746,7 +621,13 @@ mod tests {
         // tasks across processors.
         let sys = release::periodic(&[(1, 2), (1, 2), (1, 2), (1, 2), (1, 2), (1, 2)], 24);
         let plain = simulate_sfq(&sys, 3, &Pd2, &mut FullQuantum);
-        let sticky = crate::sfq::simulate_sfq_affine(&sys, 3, &Pd2, &mut FullQuantum);
+        let sticky = run(
+            Engine::SfqAffine(&Pd2),
+            &sys,
+            3,
+            &mut FullQuantum,
+            &mut NoopObserver,
+        );
         // Identical slot assignment…
         for (st, _) in sys.iter_refs() {
             assert_eq!(plain.start(st), sticky.start(st));

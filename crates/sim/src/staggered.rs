@@ -25,7 +25,7 @@ use std::collections::BinaryHeap;
 
 use pfair_core::priority::PriorityOrder;
 use pfair_numeric::{checked_lcm, Rat, Time};
-use pfair_obs::{NoopObserver, Observer, ReadyCause, SchedEvent};
+use pfair_obs::{Observer, ReadyCause, SchedEvent};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
 use crate::cost::{checked_cost, CostModel};
@@ -39,20 +39,6 @@ enum Event {
     Boundary(u32),
     /// A subtask became ready.
     Activate(SubtaskRef),
-}
-
-/// Simulates `sys` on `m` processors under the staggered-quantum model.
-///
-/// Processor `k` makes scheduling decisions at times `k/m, k/m + 1, …` and
-/// holds whatever it schedules until its next boundary.
-#[must_use]
-pub fn simulate_staggered(
-    sys: &TaskSystem,
-    m: u32,
-    order: &dyn PriorityOrder,
-    cost: &mut dyn CostModel,
-) -> Schedule {
-    simulate_staggered_observed(sys, m, order, cost, &mut NoopObserver)
 }
 
 /// Hard liveness check at the end of each batch: with nothing ready and no
@@ -356,14 +342,15 @@ impl<D: TimeDomain, O: Observer> StagLoop<'_, D, O> {
     }
 }
 
-/// [`simulate_staggered`] with a streaming [`Observer`] attached. With
-/// [`NoopObserver`] this monomorphizes to exactly [`simulate_staggered`]'s
-/// code (every emission site is gated by the compile-time `O::ENABLED`).
-/// Picks the time tier like the DVQ driver: tick arithmetic at scale
+/// Simulates `sys` on `m` processors under the staggered-quantum model:
+/// the driver behind [`Engine::Staggered`](crate::Engine::Staggered).
+///
+/// Processor `k` makes scheduling decisions at times `k/m, k/m + 1, …` and
+/// holds whatever it schedules until its next boundary. Every emission
+/// site is gated by the compile-time `O::ENABLED`. Picks the time tier like the DVQ driver: tick arithmetic at scale
 /// `lcm(hint, m)` when available, exact rationals otherwise — migrating
 /// tick → exact mid-run on the first unrepresentable value.
-#[must_use]
-pub fn simulate_staggered_observed<O: Observer>(
+pub(crate) fn simulate_staggered<O: Observer>(
     sys: &TaskSystem,
     m: u32,
     order: &dyn PriorityOrder,
@@ -423,6 +410,7 @@ pub fn simulate_staggered_observed<O: Observer>(
 mod tests {
     use super::*;
     use pfair_core::Pd2;
+    use pfair_obs::NoopObserver;
     use pfair_taskmodel::release;
 
     use crate::cost::{ExactOnly, FullQuantum, ScaledCost};
@@ -430,7 +418,7 @@ mod tests {
     #[test]
     fn boundaries_are_staggered() {
         let sys = release::periodic(&[(1, 2), (1, 2), (1, 2), (1, 2)], 8);
-        let sched = simulate_staggered(&sys, 4, &Pd2, &mut FullQuantum);
+        let sched = simulate_staggered(&sys, 4, &Pd2, &mut FullQuantum, &mut NoopObserver);
         for p in sched.placements() {
             // Every start time on processor k is ≡ k/4 (mod 1).
             assert_eq!(
@@ -447,7 +435,7 @@ mod tests {
     fn non_work_conserving_waste() {
         let sys = release::periodic(&[(1, 1), (1, 1)], 4);
         let mut half = ScaledCost(Rat::new(1, 2));
-        let sched = simulate_staggered(&sys, 2, &Pd2, &mut half);
+        let sched = simulate_staggered(&sys, 2, &Pd2, &mut half, &mut NoopObserver);
         for p in sched.placements() {
             assert_eq!(p.waste(), Rat::new(1, 2));
         }
@@ -458,7 +446,7 @@ mod tests {
         // With m = 1 the stagger offset is 0 and boundaries are integral:
         // identical decisions to SFQ.
         let sys = release::periodic(&[(3, 4), (1, 2)], 8);
-        let stag = simulate_staggered(&sys, 1, &Pd2, &mut FullQuantum);
+        let stag = simulate_staggered(&sys, 1, &Pd2, &mut FullQuantum, &mut NoopObserver);
         let sfq = crate::sfq::simulate_sfq(&sys, 1, &Pd2, &mut FullQuantum);
         for (st, _) in sys.iter_refs() {
             assert_eq!(stag.start(st), sfq.start(st));
@@ -471,7 +459,7 @@ mod tests {
         // time 1 before time 1; its first chance is 3/2.
         let sys = release::periodic(&[(1, 2)], 4);
         // Subtask 2 of wt 1/2 has r = e = 2.
-        let sched = simulate_staggered(&sys, 2, &Pd2, &mut FullQuantum);
+        let sched = simulate_staggered(&sys, 2, &Pd2, &mut FullQuantum, &mut NoopObserver);
         for (st, s) in sys.iter_refs() {
             assert!(sched.start(st) >= Rat::int(s.eligible));
         }
@@ -480,7 +468,7 @@ mod tests {
     #[test]
     fn all_subtasks_eventually_run() {
         let sys = release::periodic(&[(1, 3), (2, 5), (1, 2)], 30);
-        let sched = simulate_staggered(&sys, 2, &Pd2, &mut FullQuantum);
+        let sched = simulate_staggered(&sys, 2, &Pd2, &mut FullQuantum, &mut NoopObserver);
         assert_eq!(sched.placements().len(), sys.num_subtasks());
     }
 
@@ -491,9 +479,10 @@ mod tests {
         // it. Schedules must be identical, placement for placement.
         let sys = release::periodic(&[(1, 3), (2, 5), (1, 2)], 30);
         let costs = ScaledCost(Rat::new(3, 4));
-        let fast = simulate_staggered(&sys, 3, &Pd2, &mut costs.clone());
+        let fast = simulate_staggered(&sys, 3, &Pd2, &mut costs.clone(), &mut NoopObserver);
         let mut inner = costs;
-        let exact = simulate_staggered(&sys, 3, &Pd2, &mut ExactOnly(&mut inner));
+        let exact =
+            simulate_staggered(&sys, 3, &Pd2, &mut ExactOnly(&mut inner), &mut NoopObserver);
         assert_eq!(fast.placements(), exact.placements());
     }
 
@@ -526,9 +515,16 @@ mod tests {
         // is identical to an all-exact run of the same model.
         let sys = release::periodic(&[(1, 2), (1, 3), (2, 5)], 30);
         for trip in [1usize, 2, 5, 11] {
-            let a = simulate_staggered(&sys, 2, &Pd2, &mut WrongHint { draws: 0, trip });
+            let a = simulate_staggered(
+                &sys,
+                2,
+                &Pd2,
+                &mut WrongHint { draws: 0, trip },
+                &mut NoopObserver,
+            );
             let mut inner = WrongHint { draws: 0, trip };
-            let b = simulate_staggered(&sys, 2, &Pd2, &mut ExactOnly(&mut inner));
+            let b =
+                simulate_staggered(&sys, 2, &Pd2, &mut ExactOnly(&mut inner), &mut NoopObserver);
             assert_eq!(a.placements(), b.placements(), "trip = {trip}");
         }
     }
@@ -559,7 +555,7 @@ mod tests {
         // every intermediate batch boundary-only; the run must still
         // complete rather than being misdiagnosed as stuck.
         let sys = release::periodic(&[(1, 6)], 12);
-        let sched = simulate_staggered(&sys, 2, &Pd2, &mut FullQuantum);
+        let sched = simulate_staggered(&sys, 2, &Pd2, &mut FullQuantum, &mut NoopObserver);
         assert_eq!(sched.placements().len(), 2);
         let starts: Vec<i64> = sched.placements().iter().map(|p| p.start.floor()).collect();
         assert_eq!(starts, vec![0, 6]);

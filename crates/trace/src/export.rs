@@ -72,18 +72,17 @@ impl TraceBundle {
 /// Renders an event stream as newline-delimited JSON (one externally
 /// tagged object per line, e.g. `{"Tick":{"at":[3,1]}}`), by replaying it
 /// through a [`JsonlObserver`]. To export a live run, attach a
-/// [`JsonlObserver`] to one of the simulators' `*_observed` entry points
-/// instead:
+/// [`JsonlObserver`] to a simulator run instead:
 ///
 /// ```
 /// use pfair_core::Pd2;
 /// use pfair_obs::JsonlObserver;
-/// use pfair_sim::{simulate_sfq_observed, FullQuantum};
+/// use pfair_sim::{run, Engine, FullQuantum};
 /// use pfair_taskmodel::release;
 ///
 /// let sys = release::periodic(&[(1, 2)], 2);
 /// let mut jsonl = JsonlObserver::new();
-/// let _ = simulate_sfq_observed(&sys, 1, &Pd2, &mut FullQuantum, &mut jsonl);
+/// let _ = run(Engine::Sfq(&Pd2), &sys, 1, &mut FullQuantum, &mut jsonl);
 /// assert!(jsonl.to_jsonl().starts_with("{\"Tick\":{\"at\":[0,1]}}\n"));
 /// ```
 #[must_use]
@@ -99,7 +98,7 @@ pub fn events_to_jsonl(events: &[SchedEvent]) -> String {
 mod tests {
     use super::*;
     use pfair_core::Pd2;
-    use pfair_sim::{simulate_dvq, simulate_sfq, FixedCosts, FullQuantum};
+    use pfair_sim::{run, simulate_dvq, simulate_sfq, Engine, FixedCosts, FullQuantum};
     use pfair_taskmodel::{release, TaskId};
 
     #[test]
@@ -147,7 +146,7 @@ mod tests {
         // live JsonlObserver would have written.
         let sys = release::periodic(&[(1, 2), (1, 3)], 6);
         let mut live = JsonlObserver::new();
-        let _ = pfair_sim::simulate_sfq_observed(&sys, 1, &Pd2, &mut FullQuantum, &mut live);
+        let _ = run(Engine::Sfq(&Pd2), &sys, 1, &mut FullQuantum, &mut live);
         let recorded: Vec<SchedEvent> = {
             // Re-run, collecting the raw events this time.
             struct Collect(Vec<SchedEvent>);
@@ -157,7 +156,7 @@ mod tests {
                 }
             }
             let mut c = Collect(Vec::new());
-            let _ = pfair_sim::simulate_sfq_observed(&sys, 1, &Pd2, &mut FullQuantum, &mut c);
+            let _ = run(Engine::Sfq(&Pd2), &sys, 1, &mut FullQuantum, &mut c);
             c.0
         };
         assert!(!recorded.is_empty());

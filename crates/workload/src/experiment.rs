@@ -15,12 +15,10 @@ use pfair_analysis::{
     context_switch_stats, detect_blocking, migration_stats, response_stats, tardiness_stats,
     waste_stats,
 };
-use pfair_core::Algorithm;
+use pfair_core::pdb::PdbLinearization;
+use pfair_core::{Algorithm, Pd2};
 use pfair_numeric::Rat;
-use pfair_sim::{
-    simulate_bf, simulate_dvq, simulate_flow, simulate_sfq, simulate_sfq_pdb, simulate_staggered,
-    CostModel, FullQuantum, ScaledCost, Schedule,
-};
+use pfair_sim::{run, CostModel, Engine, FullQuantum, NoopObserver, ScaledCost, Schedule};
 use pfair_taskmodel::TaskSystem;
 use serde::{Deserialize, Serialize};
 
@@ -117,6 +115,22 @@ pub struct ExperimentConfig {
     pub base_seed: u64,
 }
 
+impl ExperimentConfig {
+    /// The engine this cell runs: [`Self::model`] driven by
+    /// [`Self::algorithm`]'s order where the family takes one.
+    fn engine(&self) -> Engine<'static> {
+        let order = self.algorithm.order();
+        match self.model {
+            ModelKind::Sfq => Engine::Sfq(order),
+            ModelKind::Dvq => Engine::Dvq(order),
+            ModelKind::Staggered => Engine::Staggered(order),
+            ModelKind::SfqPdb => Engine::Pdb(PdbLinearization::MaxBlocking),
+            ModelKind::Bf => Engine::Bf,
+            ModelKind::Flow => Engine::Flow,
+        }
+    }
+}
+
 /// Measurements from one trial.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RunSummary {
@@ -178,14 +192,7 @@ pub fn make_system(cfg: &ExperimentConfig, seed: u64) -> TaskSystem {
 /// Runs the configured simulator.
 #[must_use]
 pub fn simulate(cfg: &ExperimentConfig, sys: &TaskSystem, cost: &mut dyn CostModel) -> Schedule {
-    match cfg.model {
-        ModelKind::Sfq => simulate_sfq(sys, cfg.m, cfg.algorithm.order(), cost),
-        ModelKind::Dvq => simulate_dvq(sys, cfg.m, cfg.algorithm.order(), cost),
-        ModelKind::Staggered => simulate_staggered(sys, cfg.m, cfg.algorithm.order(), cost),
-        ModelKind::SfqPdb => simulate_sfq_pdb(sys, cfg.m, cost),
-        ModelKind::Bf => simulate_bf(sys, cfg.m, cost),
-        ModelKind::Flow => simulate_flow(sys, cfg.m, cost),
-    }
+    run(cfg.engine(), sys, cfg.m, cost, &mut NoopObserver)
 }
 
 /// Runs a single trial.
@@ -196,15 +203,10 @@ pub fn run_one(cfg: &ExperimentConfig, seed: u64) -> RunSummary {
     let sched = simulate(cfg, &sys, cost.as_mut());
     let t = tardiness_stats(&sys, &sched);
     let w = waste_stats(&sched);
-    let blocking = match cfg.model {
-        // Inversions are only meaningful relative to the priority order
-        // actually driving the run; BF and maxflow have none, so measure
-        // against PD² as the common yardstick.
-        ModelKind::SfqPdb | ModelKind::Bf | ModelKind::Flow => {
-            detect_blocking(&sys, &sched, Algorithm::Pd2.order())
-        }
-        _ => detect_blocking(&sys, &sched, cfg.algorithm.order()),
-    };
+    // Inversions are only meaningful relative to the priority order
+    // actually driving the run; PD^B, BF and maxflow have none, so measure
+    // against PD² as the common yardstick.
+    let blocking = detect_blocking(&sys, &sched, cfg.engine().order().unwrap_or(&Pd2));
     let migrations = migration_stats(&sys, &sched).migrations;
     let switches = context_switch_stats(&sys, &sched).switches();
     let mean_response = response_stats(&sys, &sched).mean();

@@ -8,6 +8,9 @@
 
 use pfair::prelude::*;
 
+/// The paper's worst-case PD^B engine.
+const PDB: Engine<'static> = Engine::Pdb(PdbLinearization::MaxBlocking);
+
 fn fig2_system() -> TaskSystem {
     release::periodic_named(
         &[
@@ -75,7 +78,7 @@ fn main() {
 
     // (c) PD^B in the SFQ model: the δ → 0 limit of (b) — allocations not
     //     commencing on a boundary postpone to the next one.
-    let pdb = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
+    let pdb = run(PDB, &sys, 2, &mut FullQuantum, &mut NoopObserver);
     report(
         &sys,
         "Fig. 2(c): PD^B in the SFQ model (δ → 0 limit)",

@@ -15,6 +15,9 @@
 use pfair::prelude::*;
 use pfair::taskmodel::release::{structured, ReleaseSpec};
 
+/// The paper's worst-case PD^B engine.
+const PDB: Engine<'static> = Engine::Pdb(PdbLinearization::MaxBlocking);
+
 fn fig3_system() -> TaskSystem {
     structured(
         &[
@@ -112,7 +115,7 @@ fn main() {
 
     // (d) The same system under PD^B (SFQ): the EB/PB/DB partition at
     //     work. Render and report tardiness.
-    let pdb = simulate_sfq_pdb(&sys, 3, &mut FullQuantum);
+    let pdb = run(PDB, &sys, 3, &mut FullQuantum, &mut NoopObserver);
     show(&sys, "Fig. 3(d): PD^B in the SFQ model", &pdb);
     let t = tardiness_stats(&sys, &pdb);
     println!("PD^B max tardiness: {} (Theorem 2 bound: 1)", t.max);

@@ -14,6 +14,9 @@
 
 use pfair::prelude::*;
 
+/// The paper's worst-case PD^B engine.
+const PDB: Engine<'static> = Engine::Pdb(PdbLinearization::MaxBlocking);
+
 fn main() {
     let sys_b = release::periodic_named(
         &[
@@ -28,7 +31,7 @@ fn main() {
     );
 
     // (a) PD^B schedule S_B with its one-quantum miss.
-    let sched_b = simulate_sfq_pdb(&sys_b, 2, &mut FullQuantum);
+    let sched_b = run(PDB, &sys_b, 2, &mut FullQuantum, &mut NoopObserver);
     println!("== Fig. 6(a): PD^B schedule S_B for τ^B ==");
     print!(
         "{}",

@@ -39,7 +39,13 @@ fn main() {
         let ws = random_weights(&TaskGenConfig::full(m, 12), 95_000 + seed);
         let sys = releasegen::generate(&ws, &ReleaseConfig::periodic(24), seed);
         let plain = simulate_sfq(&sys, m, Algorithm::Pd2.order(), &mut FullQuantum);
-        let sticky = simulate_sfq_affine(&sys, m, Algorithm::Pd2.order(), &mut FullQuantum);
+        let sticky = run(
+            Engine::SfqAffine(&Pd2),
+            &sys,
+            m,
+            &mut FullQuantum,
+            &mut NoopObserver,
+        );
         // Same schedule, different placement.
         for (st, _) in sys.iter_refs() {
             assert_eq!(plain.start(st), sticky.start(st));
@@ -64,7 +70,13 @@ fn main() {
     let sys = releasegen::generate(&ws, &ReleaseConfig::periodic(24), 1);
     let mk = || ScaledCost(Rat::new(7, 8));
     let sfq = simulate_sfq(&sys, m, Algorithm::Pd2.order(), &mut mk());
-    let stag = simulate_staggered(&sys, m, Algorithm::Pd2.order(), &mut mk());
+    let stag = run(
+        Engine::Staggered(&Pd2),
+        &sys,
+        m,
+        &mut mk(),
+        &mut NoopObserver,
+    );
     let dvq = simulate_dvq(&sys, m, Algorithm::Pd2.order(), &mut mk());
     println!(
         "2. peak simultaneous quantum starts (bus-contention proxy):\n\

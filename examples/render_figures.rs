@@ -6,6 +6,9 @@
 
 use pfair::prelude::*;
 
+/// The paper's worst-case PD^B engine.
+const PDB: Engine<'static> = Engine::Pdb(PdbLinearization::MaxBlocking);
+
 fn fig2_system() -> TaskSystem {
     release::periodic_named(
         &[
@@ -48,7 +51,7 @@ fn main() -> std::io::Result<()> {
     )?;
 
     // Fig. 2(c) / Fig. 6(a): PD^B.
-    let pdb = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
+    let pdb = run(PDB, &sys, 2, &mut FullQuantum, &mut NoopObserver);
     std::fs::write(
         format!("{out}/fig2c_pdb.svg"),
         render_svg(&sys, &pdb, &opts),

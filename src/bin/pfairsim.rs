@@ -12,7 +12,8 @@
 //! * `--m <n>`        processors (default 2)
 //! * `--model <x>`    `sfq` | `dvq` | `staggered` | `pdb` | `bf` | `flow` (default `sfq`)
 //! * `--alg <x>`      `epdf` | `pd2` | `pf` | `pd` (default `pd2`; ignored for
-//!   `pdb`, `bf` and `flow`, whose selection procedures are built in)
+//!   `pdb`, `bf` and `flow`, whose selection procedures are built in and
+//!   whose priority inversions are measured against PD²)
 //! * `--cost <r>`     fixed actual cost for every subtask, e.g. `7/8` (default 1)
 //! * `--horizon <n>`  generate subtasks while `r < horizon` (default one hyperperiod-ish 24)
 //! * `--res <n>`      Gantt cells per slot (default 4)
@@ -655,6 +656,20 @@ fn main() {
         }
     }
 
+    let order = alg.order();
+    let engine = match model.as_str() {
+        "sfq" => Engine::Sfq(order),
+        "dvq" => Engine::Dvq(order),
+        "staggered" => Engine::Staggered(order),
+        "pdb" => Engine::Pdb(PdbLinearization::MaxBlocking),
+        "bf" => Engine::Bf,
+        "flow" => Engine::Flow,
+        other => {
+            eprintln!("unknown model {other:?}");
+            std::process::exit(2);
+        }
+    };
+
     let sys = release::periodic(&weights, horizon);
     println!(
         "system: {} tasks, {} subtasks, utilization {} on {} cpus (feasible: {})",
@@ -665,44 +680,19 @@ fn main() {
         sys.is_feasible(m)
     );
 
+    if matches!(engine, Engine::Bf) {
+        require_boundary_periodic(&sys);
+    }
+    // Inversions are measured against the order driving the run; PD^B, BF
+    // and maxflow have none, so PD² is their common yardstick.
+    let yardstick = engine.order().unwrap_or(&Pd2);
     let mut costs = ScaledCost(cost);
-    let order = alg.order();
-    let observe = metrics || events_path.is_some();
     let mut jsonl = JsonlObserver::new();
-    let mut tracked = BlockingObserver::with_inner(&sys, order, MetricsObserver::new(m));
-    let sched = if observe {
-        let mut obs = (&mut tracked, &mut jsonl);
-        match model.as_str() {
-            "sfq" => simulate_sfq_observed(&sys, m, order, &mut costs, &mut obs),
-            "dvq" => simulate_dvq_observed(&sys, m, order, &mut costs, &mut obs),
-            "staggered" => simulate_staggered_observed(&sys, m, order, &mut costs, &mut obs),
-            "pdb" => simulate_sfq_pdb_observed(&sys, m, &mut costs, &mut obs),
-            "bf" => {
-                require_boundary_periodic(&sys);
-                simulate_bf_observed(&sys, m, &mut costs, &mut obs)
-            }
-            "flow" => simulate_flow_observed(&sys, m, &mut costs, &mut obs),
-            other => {
-                eprintln!("unknown model {other:?}");
-                std::process::exit(2);
-            }
-        }
+    let mut tracked = BlockingObserver::with_inner(&sys, yardstick, MetricsObserver::new(m));
+    let sched = if metrics || events_path.is_some() {
+        run(engine, &sys, m, &mut costs, &mut (&mut tracked, &mut jsonl))
     } else {
-        match model.as_str() {
-            "sfq" => simulate_sfq(&sys, m, order, &mut costs),
-            "dvq" => simulate_dvq(&sys, m, order, &mut costs),
-            "staggered" => simulate_staggered(&sys, m, order, &mut costs),
-            "pdb" => simulate_sfq_pdb(&sys, m, &mut costs),
-            "bf" => {
-                require_boundary_periodic(&sys);
-                simulate_bf(&sys, m, &mut costs)
-            }
-            "flow" => simulate_flow(&sys, m, &mut costs),
-            other => {
-                eprintln!("unknown model {other:?}");
-                std::process::exit(2);
-            }
-        }
+        run(engine, &sys, m, &mut costs, &mut NoopObserver)
     };
 
     if let Some(path) = &events_path {
@@ -734,15 +724,15 @@ fn main() {
     );
     println!(
         "model {model}  alg {}  cost {cost}",
-        match model.as_str() {
-            "pdb" => "PD^B".to_string(),
-            "bf" => "BF".to_string(),
-            "flow" => "maxflow".to_string(),
+        match engine {
+            Engine::Pdb(_) => "PD^B".to_string(),
+            Engine::Bf => "BF".to_string(),
+            Engine::Flow => "maxflow".to_string(),
             _ => alg.to_string(),
         },
     );
-    println!("{}", schedule_report(&sys, &sched, alg.order()));
-    for ev in detect_blocking(&sys, &sched, alg.order()) {
+    println!("{}", schedule_report(&sys, &sched, yardstick));
+    for ev in detect_blocking(&sys, &sched, yardstick) {
         println!(
             "  {:?} blocking: {:?} waited {} (ready {}, scheduled {})",
             ev.kind,

@@ -1,8 +1,8 @@
 //! Integration tests for the `pfairsim` CLI surface that CI leans on:
 //! the perf-ratchet `--check` edge cases (a broken baseline must fail in
 //! milliseconds with a pointed message and exit 2 — never a panic, never
-//! thirty timed repetitions first) and the `fuzz --repro-out` artifact
-//! path the smoke job uploads on failure.
+//! thirty timed repetitions first), the `fuzz --repro-out` artifact
+//! path the smoke job uploads on failure, and the `run` engine dispatch.
 
 use std::process::{Command, Output};
 
@@ -150,17 +150,73 @@ fn run_rejects_unknown_model_with_usage() {
     assert!(!out.status.success());
 }
 
+/// Every `--model` value runs on the Fig. 2 set; BF and flow meet every
+/// deadline there, and attaching the streaming observers (`--metrics`)
+/// changes nothing in the Gantt chart or the report.
 #[test]
 fn run_bf_and_flow_models_meet_deadlines_on_fig2() {
-    for model in ["bf", "flow"] {
-        let out = pfairsim(&[
+    for model in ["sfq", "dvq", "staggered", "pdb", "bf", "flow"] {
+        let mut args = vec![
             "run", "--m", "2", "--model", model, "1/6", "1/6", "1/6", "1/2", "1/2", "1/2",
-        ]);
+        ];
+        let out = pfairsim(&args);
         assert!(out.status.success(), "{model} run failed: {}", stderr(&out));
         let text = stdout(&out);
+        if model == "bf" || model == "flow" {
+            assert!(
+                text.contains("misses 0/"),
+                "{model} should meet every deadline on fig2: {text}"
+            );
+        }
+
+        args.push("--metrics");
+        let observed = pfairsim(&args);
+        assert!(observed.status.success(), "{model} --metrics failed");
+        let observed = stdout(&observed);
+        let (system, gantt_and_report) = text.split_once('\n').expect("system line");
+        assert!(observed.starts_with(system), "{model}: system line differs");
         assert!(
-            text.contains("misses 0/"),
-            "{model} should meet every deadline on fig2: {text}"
+            observed.contains("\nmetrics:\n"),
+            "{model}: no metrics summary"
         );
+        assert!(
+            observed.ends_with(gantt_and_report),
+            "{model}: --metrics changed the Gantt chart or report:\n{observed}\nvs\n{text}"
+        );
+    }
+}
+
+/// PD^B, BF and flow have no priority order of their own, so `--alg`
+/// must not change what they report: their blocking is always measured
+/// against PD². (On this weight set an EPDF yardstick would see none of
+/// PD^B's eligibility blocking.)
+#[test]
+fn run_measures_order_free_models_against_pd2_whatever_alg() {
+    for model in ["pdb", "bf", "flow"] {
+        for metrics in [false, true] {
+            let run = |alg| {
+                let mut args = vec![
+                    "run", "--model", model, "--alg", alg, "5/6", "1/2", "1/3", "1/3",
+                ];
+                if metrics {
+                    args.push("--metrics");
+                }
+                let out = pfairsim(&args);
+                assert!(
+                    out.status.success(),
+                    "{model} --alg {alg}: {}",
+                    stderr(&out)
+                );
+                stdout(&out)
+            };
+            let pd2 = run("pd2");
+            assert_eq!(run("epdf"), pd2, "{model}: --alg epdf changed the output");
+            if model == "pdb" {
+                assert!(
+                    pd2.contains("Eligibility blocking:"),
+                    "no blocking to compare: {pd2}"
+                );
+            }
+        }
     }
 }

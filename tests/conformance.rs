@@ -226,15 +226,15 @@ fn dvq_predictability_counterexample_fig2() {
         .with(TaskId(0), 1, Rat::ONE - delta)
         .with(TaskId(5), 1, Rat::ONE - delta);
     check(
-        &simulate_bf(&sys, 2, &mut yields3),
-        &simulate_bf(&sys, 2, &mut FullQuantum),
+        &run(Engine::Bf, &sys, 2, &mut yields3, &mut NoopObserver),
+        &run(Engine::Bf, &sys, 2, &mut FullQuantum, &mut NoopObserver),
     );
     let mut yields4 = FixedCosts::new(Rat::ONE)
         .with(TaskId(0), 1, Rat::ONE - delta)
         .with(TaskId(5), 1, Rat::ONE - delta);
     check(
-        &simulate_flow(&sys, 2, &mut yields4),
-        &simulate_flow(&sys, 2, &mut FullQuantum),
+        &run(Engine::Flow, &sys, 2, &mut yields4, &mut NoopObserver),
+        &run(Engine::Flow, &sys, 2, &mut FullQuantum, &mut NoopObserver),
     );
 }
 

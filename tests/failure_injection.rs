@@ -99,7 +99,13 @@ fn zero_processors_rejected() {
             let _ = simulate_dvq(s, 0, &Pd2, &mut FullQuantum);
         }) as fn(&TaskSystem),
         (|s: &TaskSystem| {
-            let _ = simulate_staggered(s, 0, &Pd2, &mut FullQuantum);
+            let _ = run(
+                Engine::Staggered(&Pd2),
+                s,
+                0,
+                &mut FullQuantum,
+                &mut NoopObserver,
+            );
         }) as fn(&TaskSystem),
     ] {
         assert!(std::panic::catch_unwind(|| f(&sys)).is_err());

@@ -13,6 +13,9 @@
 
 use pfair::prelude::*;
 
+/// The paper's worst-case PD^B engine.
+const PDB: Engine<'static> = Engine::Pdb(PdbLinearization::MaxBlocking);
+
 /// The task set of Figs. 2 and 6: A, B, C at weight 1/6; D, E, F at 1/2;
 /// total utilization 2 on M = 2 processors.
 fn fig2_system() -> TaskSystem {
@@ -174,7 +177,7 @@ fn fig2c_pdb_postpones_fig2b_to_slot_boundaries() {
     // B_1, C_1 occupy slot 2 (blocking D_2, E_2) and F_2 slips to slot 4,
     // missing its deadline by exactly one quantum.
     let sys = fig2_system();
-    let sched = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
+    let sched = run(PDB, &sys, 2, &mut FullQuantum, &mut NoopObserver);
     let expected = [
         (3, 1, 0), // D1
         (4, 1, 0), // E1
@@ -213,7 +216,7 @@ fn fig2_dvq_limit_matches_pdb_slot_assignment() {
         .with(TaskId(0), 1, Rat::ONE - delta)
         .with(TaskId(5), 1, Rat::ONE - delta);
     let dvq = simulate_dvq(&sys, 2, &Pd2, &mut costs);
-    let pdb = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
+    let pdb = run(PDB, &sys, 2, &mut FullQuantum, &mut NoopObserver);
     for (st, _) in sys.iter_refs() {
         let limit_slot = dvq.start(st).ceil(); // δ → 0: 2 − δ ↦ 2
         assert_eq!(
@@ -260,7 +263,7 @@ fn fig2_bf_strictly_cheaper_preemptions_than_dvq() {
             .with(TaskId(5), 1, Rat::ONE - delta)
     };
     let dvq = simulate_dvq(&sys, 2, &Pd2, &mut mk());
-    let bf = simulate_bf(&sys, 2, &mut mk());
+    let bf = run(Engine::Bf, &sys, 2, &mut mk(), &mut NoopObserver);
 
     let mut lines = format!(
         "BF vs PD²-DVQ on the Fig. 2 task set (horizon {horizon}, δ = 1/4 yields on A₁, F₁)\n\n\
@@ -471,7 +474,7 @@ fn fig4_free_subtasks_exist_when_quanta_fit_within_slots() {
 #[test]
 fn fig6a_pdb_f2_misses_by_exactly_one_quantum() {
     let sys = fig2_system();
-    let sched = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
+    let sched = run(PDB, &sys, 2, &mut FullQuantum, &mut NoopObserver);
     let f2 = find(&sys, 5, 2);
     assert_eq!(sched.completion(f2), Rat::int(5));
     assert_eq!(sys.subtask(f2).deadline, 4);
@@ -493,7 +496,7 @@ fn fig6b_right_shifted_system_meets_all_deadlines_under_pd2() {
 #[test]
 fn fig6c_k_compliant_systems_all_schedulable() {
     let sys_b = fig2_system();
-    let sched_b = simulate_sfq_pdb(&sys_b, 2, &mut FullQuantum);
+    let sched_b = run(PDB, &sys_b, 2, &mut FullQuantum, &mut NoopObserver);
     let order = ranks(&sched_b);
     // The paper's inset (c) is the k = 4 stage; we walk all of them.
     for k in 0..=sys_b.num_subtasks() {
@@ -516,7 +519,7 @@ fn fig6c_k_compliant_systems_all_schedulable() {
 fn fig2_streaming_metrics_golden_snapshot() {
     let sys = fig2_system();
     let mut obs = BlockingObserver::with_inner(&sys, &Pd2, MetricsObserver::new(2));
-    let _ = simulate_sfq_observed(&sys, 2, &Pd2, &mut FullQuantum, &mut obs);
+    let _ = run(Engine::Sfq(&Pd2), &sys, 2, &mut FullQuantum, &mut obs);
     let (records, metrics) = obs.into_parts();
     assert!(records.is_empty(), "SFQ full quanta admit no inversions");
     let golden = "\
@@ -566,7 +569,7 @@ fn fig3_streaming_blocking_golden() {
 fn fig6_streaming_f2_misses_by_one_quantum() {
     let sys = fig2_system();
     let mut metrics = MetricsObserver::new(2);
-    let _ = simulate_sfq_pdb_observed(&sys, 2, &mut FullQuantum, &mut metrics);
+    let _ = run(PDB, &sys, 2, &mut FullQuantum, &mut metrics);
     assert_eq!(metrics.deadline_misses(), 1);
     assert_eq!(metrics.max_tardiness(), Rat::ONE);
     assert_eq!(metrics.total_tardiness(), Rat::ONE);
@@ -595,7 +598,11 @@ fn figures_render_to_gantt_charts() {
     };
     let sfq = render_gantt(&sys, &simulate_sfq(&sys, 2, &Pd2, &mut FullQuantum), &opts);
     let dvq = render_gantt(&sys, &simulate_dvq(&sys, 2, &Pd2, &mut costs), &opts);
-    let pdb = render_gantt(&sys, &simulate_sfq_pdb(&sys, 2, &mut FullQuantum), &opts);
+    let pdb = render_gantt(
+        &sys,
+        &run(PDB, &sys, 2, &mut FullQuantum, &mut NoopObserver),
+        &opts,
+    );
     for art in [&sfq, &dvq, &pdb] {
         assert_eq!(art.lines().count(), 4);
     }

@@ -186,8 +186,15 @@ fn assert_tick_matches_exact(
         "DVQ tick-vs-exact",
     );
 
-    let fast_stag = simulate_staggered(sys, m, order, &mut mk_cost());
-    let exact_stag = simulate_staggered(sys, m, order, &mut ExactOnly(&mut mk_cost()));
+    let stag = Engine::Staggered(order);
+    let fast_stag = run(stag, sys, m, &mut mk_cost(), &mut NoopObserver);
+    let exact_stag = run(
+        stag,
+        sys,
+        m,
+        &mut ExactOnly(&mut mk_cost()),
+        &mut NoopObserver,
+    );
     assert_same_schedule(
         sys,
         &fast_stag,
@@ -298,8 +305,9 @@ proptest! {
             let fd = simulate_dvq(&sys, 3, order, &mut mk());
             let ed = simulate_dvq(&sys, 3, order, &mut ExactOnly(&mut mk()));
             prop_assert_eq!(fd.placements(), ed.placements());
-            let fs = simulate_staggered(&sys, 3, order, &mut mk());
-            let es = simulate_staggered(&sys, 3, order, &mut ExactOnly(&mut mk()));
+            let stag = Engine::Staggered(order);
+            let fs = run(stag, &sys, 3, &mut mk(), &mut NoopObserver);
+            let es = run(stag, &sys, 3, &mut ExactOnly(&mut mk()), &mut NoopObserver);
             prop_assert_eq!(fs.placements(), es.placements());
         }
     }

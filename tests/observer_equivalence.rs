@@ -1,11 +1,12 @@
 //! Differential equivalence of the streaming observers and the post-hoc
 //! analyses: over hundreds of seeded random task systems (periodic,
-//! sporadic, intra-sporadic and GIS releases alike), under both
-//! simulators and several actual-cost regimes, the metrics produced
+//! sporadic, intra-sporadic and GIS releases alike), under every
+//! [`Engine`] variant and several actual-cost regimes, the metrics produced
 //! *during* the run by [`LagObserver`], [`MetricsObserver`] and
 //! [`BlockingObserver`] must agree — by exact rational equality, never a
 //! tolerance — with `pfair-analysis` recomputing the same quantities from
-//! the finished [`Schedule`].
+//! the finished [`Schedule`], and attaching them must not change the
+//! schedule an unobserved run produces.
 //!
 //! The broad sweeps run small-denominator (≤ 8) cost regimes; a dedicated
 //! regression drives the GRID-resolution (denominator 720720) cost model
@@ -52,7 +53,8 @@ fn assert_run_agrees(
     sched: &Schedule,
     mut lag: LagObserver,
     metrics: &MetricsObserver,
-    blocking: Option<Vec<BlockingRecord>>,
+    yardstick: &dyn PriorityOrder,
+    records: Vec<BlockingRecord>,
 ) {
     let h = sys.horizon();
     lag.finish(h);
@@ -95,8 +97,8 @@ fn assert_run_agrees(
     let got_hist: Vec<usize> = metrics.histogram().iter().map(|&c| c as usize).collect();
     assert_eq!(got_hist, want_hist, "{ctx}: tardiness histogram");
 
-    if let Some(records) = blocking {
-        let posthoc = detect_blocking(sys, sched, &Pd2);
+    {
+        let posthoc = detect_blocking(sys, sched, yardstick);
         assert_eq!(
             records.len(),
             posthoc.len(),
@@ -161,34 +163,78 @@ fn grid_resolution_lag_agrees_exactly_beyond_i64() {
     );
 }
 
-#[test]
-fn sfq_streaming_observers_match_posthoc_analysis() {
+/// Runs each engine on the sweep's systems under every cost regime
+/// (seeded with the system seed xor `salt`), observed and unobserved, and
+/// checks the two schedules are equal and the streamed metrics agree with
+/// the post-hoc analysis. BF runs only on boundary-periodic systems;
+/// returns how many systems it ran on.
+fn assert_engines_stream_posthoc(engines: &[(&str, Engine<'_>)], salt: u64) -> usize {
+    let mut bf_systems = 0;
     for seed in 0..SYSTEMS {
         let (sys, m) = system_for(seed);
-        for (regime, mut cost) in regimes(seed) {
-            let mut obs = (LagObserver::new(&sys), MetricsObserver::new(m));
-            let sched = simulate_sfq_observed(&sys, m, &Pd2, cost.as_mut(), &mut obs);
-            let (lag, metrics) = obs;
-            let ctx = format!("seed {seed} / sfq / {regime}");
-            assert_run_agrees(&ctx, &sys, &sched, lag, &metrics, None);
+        for &(name, engine) in engines {
+            if matches!(engine, Engine::Bf) {
+                if !is_boundary_periodic(&sys) {
+                    continue;
+                }
+                bf_systems += 1;
+            }
+            let yardstick = engine.order().unwrap_or(&Pd2);
+            for ((regime, mut cost), (_, mut plain_cost)) in
+                regimes(seed ^ salt).into_iter().zip(regimes(seed ^ salt))
+            {
+                let mut obs = (
+                    LagObserver::new(&sys),
+                    (
+                        MetricsObserver::new(m),
+                        BlockingObserver::new(&sys, yardstick),
+                    ),
+                );
+                let sched = run(engine, &sys, m, cost.as_mut(), &mut obs);
+                let ctx = format!("seed {seed} / {name} / {regime}");
+                let plain = run(engine, &sys, m, plain_cost.as_mut(), &mut NoopObserver);
+                assert_eq!(
+                    (sched.model(), sched.m(), sched.placements()),
+                    (plain.model(), plain.m(), plain.placements()),
+                    "{ctx}: observed and unobserved schedules differ"
+                );
+                let (lag, (metrics, blocking)) = obs;
+                let (records, _) = blocking.into_parts();
+                assert_run_agrees(&ctx, &sys, &sched, lag, &metrics, yardstick, records);
+            }
         }
     }
+    bf_systems
+}
+
+/// The quantum-boundary engines: SFQ, its affine variant, PD^B under both
+/// linearizations, and the staggered model.
+#[test]
+fn sfq_streaming_observers_match_posthoc_analysis() {
+    assert_engines_stream_posthoc(
+        &[
+            ("sfq", Engine::Sfq(&Pd2)),
+            ("sfq-affine", Engine::SfqAffine(&Pd2)),
+            ("pdb-max", Engine::Pdb(PdbLinearization::MaxBlocking)),
+            ("pdb-min", Engine::Pdb(PdbLinearization::MinBlocking)),
+            ("staggered", Engine::Staggered(&Pd2)),
+        ],
+        0,
+    );
 }
 
 #[test]
 fn dvq_streaming_observers_match_posthoc_analysis() {
-    for seed in 0..SYSTEMS {
-        let (sys, m) = system_for(seed);
-        for (regime, mut cost) in regimes(seed ^ 0xd5c0) {
-            let mut obs = (
-                LagObserver::new(&sys),
-                (MetricsObserver::new(m), BlockingObserver::new(&sys, &Pd2)),
-            );
-            let sched = simulate_dvq_observed(&sys, m, &Pd2, cost.as_mut(), &mut obs);
-            let (lag, (metrics, blocking)) = obs;
-            let (records, _) = blocking.into_parts();
-            let ctx = format!("seed {seed} / dvq / {regime}");
-            assert_run_agrees(&ctx, &sys, &sched, lag, &metrics, Some(records));
-        }
-    }
+    assert_engines_stream_posthoc(&[("dvq", Engine::Dvq(&Pd2))], 0xd5c0);
+}
+
+/// The order-free engines, measured against PD².
+#[test]
+fn bf_and_flow_streaming_observers_match_posthoc_analysis() {
+    let bf_systems =
+        assert_engines_stream_posthoc(&[("bf", Engine::Bf), ("flow", Engine::Flow)], 0);
+    assert!(
+        bf_systems > 0,
+        "no generated system was synchronous periodic: BF went unchecked"
+    );
 }

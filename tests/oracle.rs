@@ -8,6 +8,9 @@ use pfair::analysis::schedulability::{flow_schedulable, WindowMode};
 use pfair::prelude::*;
 use pfair::workload::{random_weights, releasegen};
 
+/// The paper's worst-case PD^B engine.
+const PDB: Engine<'static> = Engine::Pdb(PdbLinearization::MaxBlocking);
+
 fn random_feasible(m: u32, seed: u64, horizon: i64) -> TaskSystem {
     let ws = random_weights(&TaskGenConfig::full(m, 10), seed);
     releasegen::generate(&ws, &ReleaseConfig::periodic(horizon), seed)
@@ -84,7 +87,7 @@ fn oracle_accepts_every_k_compliant_system() {
         ],
         6,
     );
-    let sched_b = simulate_sfq_pdb(&sys_b, 2, &mut FullQuantum);
+    let sched_b = run(PDB, &sys_b, 2, &mut FullQuantum, &mut NoopObserver);
     let order = ranks(&sched_b);
     for k in 0..=sys_b.num_subtasks() {
         let tau_k = k_compliant_system(&sys_b, &order, k);

@@ -5,9 +5,12 @@
 //! the Fig. 2(c) miss entirely — quantifying how much of the one-quantum
 //! bound is the *adversary's* doing rather than the partition's.
 
-use pfair::core::pdb::PdbLinearization;
 use pfair::prelude::*;
 use pfair::workload::{random_weights, releasegen};
+
+/// PD^B under the paper's worst-case and the benign linearization.
+const PDB: Engine<'static> = Engine::Pdb(PdbLinearization::MaxBlocking);
+const PDB_BENIGN: Engine<'static> = Engine::Pdb(PdbLinearization::MinBlocking);
 
 fn fig2_system() -> TaskSystem {
     release::periodic_named(
@@ -26,9 +29,8 @@ fn fig2_system() -> TaskSystem {
 #[test]
 fn benign_linearization_eliminates_the_fig2_miss() {
     let sys = fig2_system();
-    let max_blocking = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
-    let min_blocking =
-        simulate_sfq_pdb_with(&sys, 2, &mut FullQuantum, PdbLinearization::MinBlocking);
+    let max_blocking = run(PDB, &sys, 2, &mut FullQuantum, &mut NoopObserver);
+    let min_blocking = run(PDB_BENIGN, &sys, 2, &mut FullQuantum, &mut NoopObserver);
     assert_eq!(tardiness_stats(&sys, &max_blocking).max, Rat::ONE);
     assert_eq!(tardiness_stats(&sys, &min_blocking).max, Rat::ZERO);
 }
@@ -39,10 +41,10 @@ fn both_linearizations_respect_the_bound() {
         for seed in 0..12u64 {
             let ws = random_weights(&TaskGenConfig::full(m, 10), 71_500 + seed);
             let sys = releasegen::generate(&ws, &ReleaseConfig::periodic(20), seed);
-            for lin in [PdbLinearization::MaxBlocking, PdbLinearization::MinBlocking] {
-                let sched = simulate_sfq_pdb_with(&sys, m, &mut FullQuantum, lin);
+            for pdb in [PDB, PDB_BENIGN] {
+                let sched = run(pdb, &sys, m, &mut FullQuantum, &mut NoopObserver);
                 let t = tardiness_stats(&sys, &sched).max;
-                assert!(t <= Rat::ONE, "m={m} seed={seed} {lin:?}: {t}");
+                assert!(t <= Rat::ONE, "m={m} seed={seed} {pdb:?}: {t}");
             }
         }
     }
@@ -55,12 +57,12 @@ fn min_blocking_never_tardier_than_max_blocking() {
         let sys = releasegen::generate(&ws, &ReleaseConfig::periodic(20), seed);
         let max_b = tardiness_stats(
             &sys,
-            &simulate_sfq_pdb_with(&sys, 4, &mut FullQuantum, PdbLinearization::MaxBlocking),
+            &run(PDB, &sys, 4, &mut FullQuantum, &mut NoopObserver),
         )
         .max;
         let min_b = tardiness_stats(
             &sys,
-            &simulate_sfq_pdb_with(&sys, 4, &mut FullQuantum, PdbLinearization::MinBlocking),
+            &run(PDB_BENIGN, &sys, 4, &mut FullQuantum, &mut NoopObserver),
         )
         .max;
         assert!(

@@ -11,6 +11,9 @@ use proptest::prelude::*;
 use pfair::prelude::*;
 use pfair::workload::releasegen;
 
+/// The paper's worst-case PD^B engine.
+const PDB: Engine<'static> = Engine::Pdb(PdbLinearization::MaxBlocking);
+
 /// Strategy: a feasible weight set for `m` processors (weights e/p with
 /// p ≤ 8, total ≤ m).
 fn weight_set(m: i64) -> impl Strategy<Value = Vec<Weight>> {
@@ -68,7 +71,7 @@ proptest! {
     fn prop_pdb_tardiness_at_most_one(ws in weight_set(3)) {
         let sys = periodic_system(&ws, 16);
         prop_assume!(sys.num_subtasks() > 0);
-        let sched = simulate_sfq_pdb(&sys, 3, &mut FullQuantum);
+        let sched = run(PDB, &sys, 3, &mut FullQuantum, &mut NoopObserver);
         let stats = tardiness_stats(&sys, &sched);
         prop_assert!(stats.max <= Rat::ONE, "tardiness {}", stats.max);
     }
@@ -80,7 +83,7 @@ proptest! {
         let sys = periodic_system(&ws, 12);
         prop_assume!(sys.num_subtasks() > 0);
         let mut cost = UniformCost::new(Rat::new(1, 2), seed);
-        let sched = simulate_staggered(&sys, 2, &Pd2, &mut cost);
+        let sched = run(Engine::Staggered(&Pd2), &sys, 2, &mut cost, &mut NoopObserver);
         prop_assert!(check_structural(&sys, &sched).is_empty());
         for p in sched.placements() {
             prop_assert_eq!(p.start.fract(), Rat::new(i64::from(p.proc), 2));
@@ -123,7 +126,7 @@ proptest! {
         let mk = || UniformCost::new(Rat::new(1, 2), seed);
         let sfq = waste_stats(&simulate_sfq(&sys, 2, &Pd2, &mut mk()));
         let dvq = waste_stats(&simulate_dvq(&sys, 2, &Pd2, &mut mk()));
-        let stag = waste_stats(&simulate_staggered(&sys, 2, &Pd2, &mut mk()));
+        let stag = waste_stats(&run(Engine::Staggered(&Pd2), &sys, 2, &mut mk(), &mut NoopObserver));
         prop_assert_eq!(sfq.busy, dvq.busy);
         prop_assert_eq!(sfq.busy, stag.busy);
         // DVQ reclaims all yield tails.

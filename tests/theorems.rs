@@ -9,6 +9,9 @@
 use pfair::prelude::*;
 use pfair::workload::experiment::CostKind;
 
+/// The paper's worst-case PD^B engine.
+const PDB: Engine<'static> = Engine::Pdb(PdbLinearization::MaxBlocking);
+
 fn cfg(
     m: u32,
     model: ModelKind,
@@ -197,7 +200,7 @@ fn thm2_pdb_bound_is_attained() {
         ],
         6,
     );
-    let sched = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
+    let sched = run(PDB, &sys, 2, &mut FullQuantum, &mut NoopObserver);
     assert_eq!(tardiness_stats(&sys, &sched).max, Rat::ONE);
 }
 
