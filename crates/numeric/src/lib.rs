@@ -22,6 +22,9 @@
 //!   `i64` tick counts that compare in one instruction, with every
 //!   conversion exact-or-`None` so callers fall back to [`Rat`] instead of
 //!   ever rounding (see the [`qtime`] module docs for the contract);
+//! * [`EventQueue`] — the event heap of every event-driven scheduling
+//!   loop: tick keys at a [`QScale`] until an instant falls off the grid,
+//!   then exact [`Rat`] keys, switching itself losslessly (see [`queue`]);
 //! * integer helpers ([`gcd`], [`lcm`], [`checked_lcm`], [`floor_div`],
 //!   [`ceil_div`]) used by the Pfair window formulas
 //!   `r(T_i) = ⌊(i−1)p/e⌋`, `d(T_i) = ⌈ip/e⌉`.
@@ -36,11 +39,13 @@
 pub mod int;
 pub mod qtime;
 pub mod quantum;
+pub mod queue;
 pub mod rational;
 pub mod time;
 
 pub use int::{ceil_div, checked_lcm, floor_div, gcd, gcd_i128, lcm};
 pub use qtime::{QScale, QTime};
 pub use quantum::QuantumScale;
+pub use queue::{Event, EventQueue, EventTime};
 pub use rational::Rat;
 pub use time::{is_slot_boundary, slot_of, Time};

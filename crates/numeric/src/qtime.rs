@@ -11,9 +11,9 @@
 //!
 //! This module provides the two types of that fast path:
 //!
-//! * [`QScale`] — the ticks-per-quantum scale, computed once per run as the
-//!   lcm of the cost model's denominators (see
-//!   `CostModel::denominator_hint` in `pfair-sim`);
+//! * [`QScale`] — the ticks-per-quantum scale, computed once per run from
+//!   the cost model's denominator (see `CostModel::denominator_hint` in
+//!   `pfair-sim`);
 //! * [`QTime`] — a time point as a signed tick count at a given scale.
 //!
 //! # The fallback contract
@@ -22,11 +22,11 @@
 //! that cannot be represented exactly — a cost off the grid
 //! ([`QScale::from_rat`] returns `None` unless the reduced denominator
 //! divides the scale), or a tick count outside `i64` — returns `None`
-//! instead of rounding. Callers (the simulators' event loops) treat `None`
-//! as "leave the fast path": they migrate their state to exact [`Rat`]
-//! times via [`QScale::to_rat`] — which is always exact, a `QTime` *is* a
-//! rational — and resume. Fixed point is an optimization, never a change
-//! of semantics; the equivalence tests in `pfair-numeric` and the
+//! instead of rounding. The one caller, [`EventQueue`](crate::EventQueue),
+//! treats `None` as "leave the fast path": it converts its keys to exact
+//! [`Rat`] times via [`QScale::to_rat`] — which is always exact, a `QTime`
+//! *is* a rational — and carries on. Fixed point is an optimization, never
+//! a change of semantics; the equivalence tests in `pfair-numeric` and the
 //! schedule-identity tests in the workspace root pin that down.
 
 use crate::int::checked_lcm;
@@ -111,7 +111,7 @@ impl QScale {
 /// up front and all its `QTime`s share it, which is what makes comparisons
 /// a single `i64` compare. Mixing ticks from different scales is a caller
 /// bug that the type system does not catch; keep the scale alongside the
-/// collection, as the simulators' time domains do.
+/// collection, as [`EventQueue`](crate::EventQueue) does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct QTime {
     ticks: i64,
@@ -129,7 +129,7 @@ impl QTime {
 
     /// A time from a raw tick count (the inverse of [`QTime::ticks`]). The
     /// caller owns the scale discipline, as with every other `QTime` op;
-    /// the simulators use this to unpack tick counts they packed into
+    /// the event queue uses this to unpack tick counts it packed into
     /// wider integer keys.
     #[must_use]
     pub fn from_ticks(ticks: i64) -> QTime {

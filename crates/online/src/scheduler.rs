@@ -15,6 +15,12 @@
 //! ([`Mode::Deterministic`], which `pfair-runtime` also gates on worker
 //! reports), or when the caller reports it ([`Mode::FreeRunning`]).
 //!
+//! Events wait in a [`pfair_numeric::EventQueue`], the queue the offline
+//! DVQ and staggered drivers use, as tick counts at `lcm(1..13)` ticks per
+//! quantum (the workload generators' cost grid). The first instant off
+//! that grid switches the queue to exact rationals, losslessly, so the
+//! schedule never depends on the grid.
+//!
 //! # Usage
 //!
 //! ```
@@ -37,7 +43,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use pfair_core::key::Pd2Key;
-use pfair_numeric::{QScale, QTime, Rat, Time};
+use pfair_numeric::{Event, EventQueue, EventTime, QScale, Rat, Time};
 use pfair_obs::{NoopObserver, Observer, ReadyCause, SchedEvent};
 use pfair_taskmodel::window;
 use pfair_taskmodel::{SubtaskId, TaskId, Weight};
@@ -143,97 +149,12 @@ struct TaskState {
     head_armed: bool,
 }
 
-/// Queued events. At equal instants completions come first, then
-/// activations, each by processor / task id.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Ev {
-    /// The quantum on this processor completes (queued completions only).
-    ProcFree(u32),
-    /// A task's chain head becomes ready.
-    Activate(TaskId),
-}
-
 /// The quantum currently occupying a processor:
 /// `(subtask, completion, deadline)`.
 type RunningQuantum = (SubtaskId, Time, i64);
 
-/// Default tick resolution of the event queue's fast mode:
-/// `lcm(1..13)`, the workload generators' cost grid.
+/// Tick resolution of the event queue: `lcm(1..13)` ticks per quantum.
 const DEFAULT_RESOLUTION: i64 = 720_720;
-
-/// An event instant: the exact time plus, when the queue is in tick
-/// mode, its native tick count (so the next peek at the same count skips
-/// the conversion).
-#[derive(Clone, Copy, Debug)]
-struct Instant {
-    ticks: Option<QTime>,
-    at: Time,
-}
-
-/// The scheduler's event heap, in one of two arithmetic modes — the
-/// online analogue of `pfair-sim`'s two-tier time domains.
-///
-/// `Ticks` keys the heap by [`QTime`] counts at a fixed [`QScale`]: every
-/// heap comparison is a single `i64` compare. The first time (any cost,
-/// eligibility, or completion the scale cannot represent) pushes the queue
-/// permanently into `Exact` mode, converting every queued event losslessly
-/// — a tick count *is* a rational — so schedules never depend on the mode.
-#[derive(Debug)]
-enum EventQueue {
-    Ticks {
-        scale: QScale,
-        heap: BinaryHeap<Reverse<(QTime, Ev)>>,
-    },
-    Exact(BinaryHeap<Reverse<(Time, Ev)>>),
-}
-
-impl EventQueue {
-    /// The next event and its instant. An event at the tick count of
-    /// `last` (the instant peeked before) reuses its exact time instead of
-    /// converting again.
-    fn peek(&self, last: Option<Instant>) -> Option<(Instant, Ev)> {
-        match self {
-            EventQueue::Ticks { scale, heap } => heap.peek().map(|&Reverse((t, ev))| {
-                let at = match last {
-                    Some(b) if b.ticks == Some(t) => b.at,
-                    _ => scale.to_rat(t),
-                };
-                let ticks = Some(t);
-                (Instant { ticks, at }, ev)
-            }),
-            EventQueue::Exact(heap) => heap
-                .peek()
-                .map(|&Reverse((at, ev))| (Instant { ticks: None, at }, ev)),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Ev> {
-        match self {
-            EventQueue::Ticks { heap, .. } => heap.pop().map(|Reverse((_, ev))| ev),
-            EventQueue::Exact(heap) => heap.pop().map(|Reverse((_, ev))| ev),
-        }
-    }
-
-    fn push(&mut self, at: Time, ev: Ev) {
-        if let EventQueue::Ticks { scale, heap } = self {
-            if let Some(qt) = scale.from_rat(at) {
-                heap.push(Reverse((qt, ev)));
-                return;
-            }
-            // Off the grid: convert the queue to exact mode, losslessly.
-            let scale = *scale;
-            let exact = std::mem::take(heap)
-                .into_iter()
-                .map(|Reverse((t, ev))| Reverse((scale.to_rat(t), ev)))
-                .collect();
-            *self = EventQueue::Exact(exact);
-        }
-        let EventQueue::Exact(heap) = self else {
-            unreachable!("an off-grid push leaves the queue in exact mode")
-        };
-        heap.push(Reverse((at, ev)));
-    }
-}
 
 /// An online, heap-based PD² scheduler for the DVQ model.
 #[derive(Debug)]
@@ -257,29 +178,12 @@ pub struct OnlineDvq {
 }
 
 impl OnlineDvq {
-    /// A scheduler over `m ≥ 1` processors, starting at time 0, its event
-    /// queue at the workload cost grid's tick resolution (`lcm(1..13)`
-    /// ticks per quantum; see [`Self::with_resolution`]).
+    /// A scheduler over `m ≥ 1` processors, starting at time 0.
     ///
     /// # Panics
     /// Panics if `m == 0`.
     #[must_use]
     pub fn new(m: u32) -> OnlineDvq {
-        OnlineDvq::with_resolution(m, DEFAULT_RESOLUTION)
-    }
-
-    /// [`Self::new`] with an explicit tick resolution for the event
-    /// queue's fast mode: event times are kept as integer counts of
-    /// `1/ticks_per_quantum` quanta while every cost, eligibility, and
-    /// completion lands on that grid, and migrate losslessly to exact
-    /// rationals the first time one does not. The resolution never affects
-    /// the schedule — only how much of the run enjoys integer heap
-    /// comparisons.
-    ///
-    /// # Panics
-    /// Panics if `m == 0` or `ticks_per_quantum < 1`.
-    #[must_use]
-    pub fn with_resolution(m: u32, ticks_per_quantum: i64) -> OnlineDvq {
         assert!(m >= 1, "need at least one processor");
         OnlineDvq {
             m,
@@ -287,10 +191,7 @@ impl OnlineDvq {
             now: Rat::ZERO,
             tasks: Vec::new(),
             ready: BinaryHeap::new(),
-            events: EventQueue::Ticks {
-                scale: QScale::new(ticks_per_quantum),
-                heap: BinaryHeap::new(),
-            },
+            events: EventQueue::new(Some(QScale::new(DEFAULT_RESOLUTION))),
             batch: None,
             free: (0..m).collect(),
             running: vec![None; m as usize],
@@ -446,7 +347,8 @@ impl OnlineDvq {
         };
         let act = Rat::int(head.eligible).max(state.pred_completion);
         state.head_armed = true;
-        self.events.push(act, Ev::Activate(task));
+        let at = self.events.at(act);
+        self.events.push(at, Event::Activate(task.0));
     }
 
     /// Processes events up to (and including) `horizon`, dispatching with
@@ -516,8 +418,8 @@ impl OnlineDvq {
     ) -> bool {
         let stop = |s: &OnlineDvq, at, ev| match (s.mode, ev) {
             (Mode::FreeRunning, _) => s.running.iter().flatten().any(|&(_, c, _)| c <= at),
-            (Mode::Deterministic, Ev::ProcFree(proc)) => !reported(proc),
-            (Mode::Deterministic, Ev::Activate(_)) => false,
+            (Mode::Deterministic, Event::Proc(proc)) => !reported(proc),
+            (Mode::Deterministic, Event::Activate(_)) => false,
         };
         self.drain(stop, cost, obs)
     }
@@ -562,21 +464,26 @@ impl OnlineDvq {
     /// instant and is handled. `false` once the queue and batch are empty.
     fn drain<O: Observer>(
         &mut self,
-        mut stop: impl FnMut(&OnlineDvq, Time, Ev) -> bool,
+        mut stop: impl FnMut(&OnlineDvq, Time, Event) -> bool,
         cost: &mut dyn FnMut(TaskId, u64) -> Rat,
         obs: &mut O,
     ) -> bool {
-        let mut last = None;
+        // The last instant peeked and its value: events sharing it skip
+        // the conversion.
+        let mut last: Option<(EventTime, Time)> = None;
         loop {
-            let Some((next, ev)) = self.events.peek(last) else {
+            let Some((next, ev)) = self.events.peek() else {
                 if self.batch.is_none() {
                     return false;
                 }
                 self.close_batch(cost, obs);
                 continue;
             };
-            last = Some(next);
-            let mut at = next.at;
+            let mut at = match last {
+                Some((t, at)) if t == next => at,
+                _ => self.events.rat(next),
+            };
+            last = Some((next, at));
             if self.mode == Mode::FreeRunning && at < self.now {
                 // A late report moved time past this activation.
                 at = self.now;
@@ -589,9 +496,9 @@ impl OnlineDvq {
                 return true;
             }
             self.open_batch(at, obs);
-            match self.events.pop().expect("peeked event still queued") {
-                Ev::ProcFree(proc) => self.finish(proc, obs),
-                Ev::Activate(task) => self.activate(task, obs),
+            match self.events.pop_at(next).expect("peeked event still queued") {
+                Event::Proc(proc) => self.finish(proc, obs),
+                Event::Activate(task) => self.activate(TaskId(task), obs),
             }
         }
     }
@@ -725,7 +632,8 @@ impl OnlineDvq {
             });
             self.tasks[task.idx()].pred_completion = completion;
             if self.mode == Mode::Deterministic {
-                self.events.push(completion, Ev::ProcFree(proc));
+                let at = self.events.at(completion);
+                self.events.push(at, Event::Proc(proc));
             }
         }
         if O::ENABLED && !self.free.is_empty() {
@@ -850,34 +758,72 @@ mod tests {
     }
 
     #[test]
-    fn coarse_resolution_migrates_without_changing_the_schedule() {
-        // Resolution 2 cannot represent cost 1/3: the queue migrates to
-        // exact mode mid-run. The log must match both the default (GRID)
-        // resolution — which represents 1/3 natively — and resolution 1,
-        // which migrates on the very first fractional completion.
-        let runs: Vec<Vec<OnlineAssignment>> = [720_720i64, 2, 1]
-            .iter()
-            .map(|&res| {
-                let mut s = OnlineDvq::with_resolution(2, res);
-                let a = s.add_task(Weight::new(1, 2));
-                let b = s.add_task(Weight::new(1, 3));
-                let c = s.add_task(Weight::new(2, 5));
-                for (t, p) in [(a, 2), (b, 3), (c, 5)] {
-                    for j in 0..4 {
-                        s.submit_job(t, j * p).unwrap();
-                    }
+    fn off_grid_costs_migrate_without_changing_the_schedule() {
+        // One subtask costs k/17, off the queue's 720 720 grid: the queue
+        // switches to exact mode there, at a different point of the run
+        // each time. The log must match the offline simulator run exactly
+        // throughout (`ExactOnly`).
+        use pfair_core::Pd2;
+        use pfair_sim::{simulate_dvq, ExactOnly, FixedCosts};
+        use pfair_taskmodel::TaskSystemBuilder;
+
+        let off = Rat::new(16, 17);
+        assert_eq!(QScale::new(DEFAULT_RESOLUTION).from_rat(off), None);
+        // Nearly full utilization with full-quantum costs elsewhere, so an
+        // early completion hands its processor straight to waiting work.
+        let weights = [
+            Weight::new(1, 2),
+            Weight::new(1, 3),
+            Weight::new(2, 5),
+            Weight::new(2, 3),
+        ];
+        let jobs = 4u64;
+        let mut b = TaskSystemBuilder::new();
+        for &w in &weights {
+            let t = b.add_task(w);
+            for i in 1..=jobs * w.e() as u64 {
+                b.push(t, i, 0, None).unwrap();
+            }
+        }
+        let sys = b.build();
+        for trip in [(0u32, 1u64), (1, 2), (2, 5), (3, 4), (2, 8)] {
+            let cost = |task: TaskId, index: u64| {
+                if (task.0, index) == trip {
+                    off
+                } else {
+                    Rat::ONE
                 }
-                s.run_until_idle(&mut |task, _| {
-                    if task == b {
-                        Rat::new(1, 3)
-                    } else {
-                        Rat::new(1, 2)
-                    }
-                })
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0], runs[2]);
+            };
+            let mut s = OnlineDvq::new(2);
+            for &w in &weights {
+                let t = s.add_task(w);
+                for j in 0..jobs {
+                    s.submit_job(t, j as i64 * w.p()).unwrap();
+                }
+            }
+            let log = s.run_until_idle(&mut |task, index| cost(task, index));
+
+            let mut fixed = FixedCosts::new(Rat::ONE);
+            for (_, sub) in sys.iter_refs() {
+                fixed.set(sub.id, cost(sub.id.task, sub.id.index));
+            }
+            let offline = simulate_dvq(&sys, 2, &Pd2, &mut ExactOnly(&mut fixed));
+            assert_eq!(log.len(), sys.num_subtasks(), "trip = {trip:?}");
+            for a in &log {
+                let id = SubtaskId {
+                    task: a.task,
+                    index: a.index,
+                };
+                let p = offline.placement(sys.find(id).unwrap());
+                assert_eq!(
+                    (a.start, a.proc, a.cost),
+                    (p.start, p.proc, p.cost),
+                    "T{}_{} with trip = {trip:?}",
+                    a.task.0,
+                    a.index
+                );
+            }
+        }
     }
 
     #[test]

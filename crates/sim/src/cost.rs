@@ -28,10 +28,10 @@ pub trait CostModel {
     /// reduced denominator dividing `d` — or `None` when no such bound is
     /// known (the default).
     ///
-    /// Purely **advisory**: the simulators use it to pick the fixed-point
-    /// tick scale of their `QTime` fast path up front, but still check
-    /// every drawn cost against the scale at dispatch time and migrate the
-    /// run to exact [`Rat`] arithmetic on the first mismatch. A wrong hint
+    /// Purely **advisory**: the event-driven simulators use it to pick the
+    /// tick scale of their event queue up front, but every drawn cost is
+    /// still checked against the scale, and the queue switches to exact
+    /// [`Rat`] arithmetic on the first mismatch. A wrong hint
     /// therefore costs performance, never correctness — and `None` simply
     /// keeps the whole run on the exact path.
     fn denominator_hint(&self) -> Option<i64> {
@@ -142,8 +142,8 @@ impl CostModel for ScaledCost {
 /// Forces the exact-`Rat` event loop for any inner model by withholding
 /// its denominator hint — the cost-model analogue of
 /// `ComparatorOnly` on the priority side. The equivalence tests wrap a
-/// model in this to run the identical workload down both time domains and
-/// diff the schedules; it has no other behavioural effect.
+/// model in this to run the identical workload on tick and on exact event
+/// times and diff the schedules; it has no other behavioural effect.
 pub struct ExactOnly<'a>(pub &'a mut dyn CostModel);
 
 impl CostModel for ExactOnly<'_> {
@@ -151,8 +151,8 @@ impl CostModel for ExactOnly<'_> {
         self.0.cost(sys, st)
     }
 
-    // Deliberately inherits the default `None` hint: no scale, no fast
-    // path, every event time an exact `Rat`.
+    // Deliberately inherits the default `None` hint: no scale, no tick
+    // mode, every event time an exact `Rat`.
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //!
 //! * `Activate(st)` events fire when a subtask becomes *ready* — at
 //!   `max(e(T_i), completion of predecessor)`;
-//! * `ProcFree(k)` events fire when a quantum completes.
+//! * `Proc(k)` events fire when processor `k`'s quantum completes.
 //!
 //! All events at the same instant are drained before any assignment; then
 //! free processors (ascending index) are matched with ready subtasks in
@@ -28,68 +28,31 @@
 //! completes at `τ + c` and its processor is immediately reusable — no
 //! holds, no waste.
 //!
-//! # The two-tier time representation
+//! # Event times
 //!
-//! The loop is written once, generic over a `TimeDomain` (see
-//! `tdomain.rs`). When the cost model publishes a denominator hint
-//! ([`crate::cost::CostModel::denominator_hint`])
-//! and the run's event span fits `i64` ticks at that scale, the loop runs
-//! in the `TickTimes` fast tier: event times are `QTime` tick counts,
-//! heap comparisons are single integer compares, and rational arithmetic
-//! disappears from the hot path. The first cost off the hinted grid (or any
-//! overflow) triggers a mid-batch **bail**: the loop converts its whole
-//! state to exact [`Rat`]s — losslessly, a tick count *is* a rational — and
-//! the `ExactTimes` tier resumes at the same instant with the already
-//! drawn cost, so RNG streams, observer streams, and schedules are
-//! bit-identical down both tiers (see `tick_times_match_exact_times` and
-//! `tests/keyed_equivalence.rs`).
+//! The loop keeps its events in a [`pfair_numeric::EventQueue`]. When the
+//! cost model publishes a denominator hint
+//! ([`crate::cost::CostModel::denominator_hint`]), event times start as
+//! `i64` tick counts at that scale: heap comparisons are single integer
+//! compares and rational arithmetic leaves the hot path. The first instant
+//! off the hinted grid (or past `i64` ticks) switches the queue to exact
+//! [`Rat`]s, losslessly — a tick count *is* a rational — so nothing is
+//! redrawn and schedules and observer streams are identical whether or
+//! where the switch happens (see `tick_times_match_exact_times`,
+//! `mid_run_migration_is_invisible` and `tests/keyed_equivalence.rs`).
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use pfair_core::key::{EpdfKey, KeyCache, KeyDispatch, Pd2Key, PdKey, SubtaskKey};
 use pfair_core::priority::PriorityOrder;
-use pfair_numeric::Rat;
+use pfair_numeric::{Event, EventQueue, QScale, Rat};
 use pfair_obs::{NoopObserver, Observer, ReadyCause, SchedEvent};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
 use crate::cost::{checked_cost, CostModel};
 use crate::emit::{emit_end, flush_ends};
 use crate::schedule::{Placement, QuantumModel, Schedule};
-use crate::tdomain::{event_span, tick_scale, ExactTimes, TickTimes, TimeDomain};
-
-/// Event payloads, ordered so simultaneous batches drain deterministically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Event {
-    /// A processor completed its quantum.
-    ProcFree(u32),
-    /// A subtask became ready.
-    Activate(SubtaskRef),
-}
-
-impl Event {
-    /// The 64-bit payload code for [`TimeDomain::ev_key`]. Code order
-    /// equals the derived `Ord` above: all `ProcFree` codes (`< 2^32`,
-    /// ascending by processor) sort before all `Activate` codes
-    /// (`2^32 | subtask`, ascending by subtask).
-    fn code(self) -> u64 {
-        match self {
-            Event::ProcFree(k) => u64::from(k),
-            Event::Activate(st) => (1 << 32) | u64::from(st.0),
-        }
-    }
-
-    /// Inverse of [`Event::code`].
-    fn from_code(code: u64) -> Event {
-        #[allow(clippy::cast_possible_truncation)]
-        let payload = code as u32;
-        if code >> 32 == 0 {
-            Event::ProcFree(payload)
-        } else {
-            Event::Activate(SubtaskRef(payload))
-        }
-    }
-}
 
 /// The ready set of the DVQ loop: push activated subtasks, pop the
 /// highest-priority one. Two implementations share the event loop — a
@@ -166,6 +129,7 @@ impl<K: SubtaskKey> BucketReady<K> {
 }
 
 impl<K: SubtaskKey> ReadySet for BucketReady<K> {
+    #[inline]
     fn push(&mut self, st: SubtaskRef) {
         let key = self.cache.key(st);
         let idx = self.bucket_index(key.deadline());
@@ -321,296 +285,10 @@ pub fn simulate_dvq_observed<O: Observer>(
     }
 }
 
-/// The loop state, generic over the time domain so a tick-tier run can
-/// hand its whole progress to the exact tier on a bail.
-struct LoopState<D: TimeDomain> {
-    /// Min-heap of packed (time, event) keys ([`TimeDomain::ev_key`]).
-    events: BinaryHeap<Reverse<D::EvKey>>,
-    /// Free processors as a min-heap, so `pop()` serves the lowest index
-    /// first (the documented assignment order) in O(log M).
-    free: BinaryHeap<Reverse<u32>>,
-    /// Observability state: the in-flight quantum on each processor
-    /// `(subtask, completion)`, for `QuantumEnd` emission at its
-    /// `ProcFree`. Written only when the observer is enabled.
-    running: Vec<Option<(SubtaskRef, D::T)>>,
-    placements: Vec<Placement>,
-    placed: usize,
-}
-
-/// A fast-tier abort: the instant it happened, the dispatch it could not
-/// represent (cost already drawn — never redrawn, keeping RNG streams
-/// identical), and the whole loop state converted to exact rationals.
-struct Bail {
-    now: Rat,
-    pending: (SubtaskRef, Rat),
-    state: LoopState<ExactTimes>,
-}
-
-/// The initial loop state in domain `dom`: every chain head activates at
-/// its eligibility time; every processor is free at time 0.
-fn seed_dvq<D: TimeDomain>(dom: &D, sys: &TaskSystem, m: u32) -> LoopState<D> {
-    let mut events = BinaryHeap::new();
-    for task in sys.tasks() {
-        if let Some(head) = sys.task_subtask_refs(task.id).next() {
-            let e = sys.subtask(head).eligible;
-            let t = dom
-                .int(e)
-                .expect("seed eligibility is within the pre-checked event span");
-            events.push(Reverse(dom.ev_key(t, Event::Activate(head).code())));
-        }
-    }
-    let zero = dom.int(0).expect("time zero is within the event span");
-    for k in 0..m {
-        events.push(Reverse(dom.ev_key(zero, Event::ProcFree(k).code())));
-    }
-    LoopState {
-        events,
-        free: BinaryHeap::with_capacity(m as usize),
-        running: vec![None; m as usize],
-        placements: Vec::with_capacity(sys.num_subtasks()),
-        placed: 0,
-    }
-}
-
-/// Lossless state conversion to the exact tier (`to_rat` is total).
-fn migrate_dvq<D: TimeDomain>(dom: &D, s: &mut LoopState<D>) -> LoopState<ExactTimes> {
-    LoopState {
-        events: s
-            .events
-            .drain()
-            .map(|Reverse(k)| {
-                let (t, code) = dom.ev_split(k);
-                Reverse(ExactTimes.ev_key(dom.to_rat(t), code))
-            })
-            .collect(),
-        free: std::mem::take(&mut s.free),
-        running: s
-            .running
-            .iter_mut()
-            .map(|slot| slot.take().map(|(st, t)| (st, dom.to_rat(t))))
-            .collect(),
-        placements: std::mem::take(&mut s.placements),
-        placed: s.placed,
-    }
-}
-
-/// Converts `t` to a rational at most once per batch, memoized in `slot`.
-fn lazy_rat<D: TimeDomain>(dom: &D, t: D::T, slot: &mut Option<Rat>) -> Rat {
-    *slot.get_or_insert_with(|| dom.to_rat(t))
-}
-
-/// The borrows one event-loop run needs, bundled so the tick and exact
-/// tiers can take them in turn.
-struct DvqLoop<'a, D: TimeDomain, R: ReadySet, O: Observer> {
-    dom: &'a D,
-    sys: &'a TaskSystem,
-    m: u32,
-    ready: &'a mut R,
-    cost: &'a mut dyn CostModel,
-    obs: &'a mut O,
-}
-
-impl<D: TimeDomain, R: ReadySet, O: Observer> DvqLoop<'_, D, R, O> {
-    /// Runs the event loop to completion in this tier's arithmetic, or
-    /// bails with the exact-tier state. `resume` re-enters a batch that a
-    /// previous tier abandoned: its `Tick` was already emitted, and the
-    /// first dispatch reuses the carried-over cost.
-    fn run_dvq_tier(
-        &mut self,
-        mut s: LoopState<D>,
-        resume: Option<(Rat, (SubtaskRef, Rat))>,
-    ) -> Result<Schedule, Box<Bail>> {
-        let total = self.sys.num_subtasks();
-        if let Some((now_r, pending)) = resume {
-            let now = self
-                .dom
-                .from_rat(now_r)
-                .expect("a bail instant is representable in the resuming domain");
-            self.assign_batch(&mut s, now, Some(pending))?;
-        }
-        while s.placed < total {
-            let Some(&Reverse(head)) = s.events.peek() else {
-                // Every unplaced subtask owes the queue either an Activate
-                // or the ProcFree that will trigger one, so an empty queue
-                // here is a lost-event bug in this driver — abort loudly
-                // (also in release builds) rather than looping forever on
-                // `placed < total`.
-                panic!(
-                    "DVQ event queue drained with only {placed}/{total} subtasks placed: \
-                     an Activate/ProcFree event was lost (broken successor chain?)",
-                    placed = s.placed
-                );
-            };
-            let (now, _) = self.dom.ev_split(head);
-            if O::ENABLED {
-                self.obs.on_event(&SchedEvent::Tick {
-                    at: self.dom.to_rat(now),
-                });
-            }
-            // Drain the batch at `now`. The event ordering (ProcFree
-            // ascending by processor, then Activate) makes the emitted
-            // stream deterministic too.
-            while let Some(&Reverse(k)) = s.events.peek() {
-                let (t, code) = self.dom.ev_split(k);
-                if t != now {
-                    break;
-                }
-                s.events.pop();
-                match Event::from_code(code) {
-                    Event::ProcFree(k) => {
-                        if O::ENABLED {
-                            if let Some((st, completion)) = s.running[k as usize].take() {
-                                emit_end(
-                                    self.sys,
-                                    st,
-                                    k,
-                                    self.dom.to_rat(completion),
-                                    Rat::ZERO,
-                                    self.obs,
-                                );
-                            }
-                        }
-                        s.free.push(Reverse(k));
-                    }
-                    Event::Activate(st) => {
-                        if O::ENABLED {
-                            let sub = self.sys.subtask(st);
-                            let cause = if self.dom.int(sub.eligible) == Some(now) {
-                                ReadyCause::Eligibility
-                            } else {
-                                ReadyCause::Predecessor
-                            };
-                            self.obs.on_event(&SchedEvent::Ready {
-                                id: sub.id,
-                                at: self.dom.to_rat(now),
-                                cause,
-                            });
-                        }
-                        self.ready.push(st);
-                    }
-                }
-            }
-            self.assign_batch(&mut s, now, None)?;
-        }
-
-        if O::ENABLED {
-            // Quanta still in flight when the last subtask was placed:
-            // announce their ends in completion order.
-            let mut pending: Vec<crate::emit::PendingEnd> = s
-                .running
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(k, slot)| {
-                    slot.take().map(|(st, completion)| {
-                        (self.dom.to_rat(completion), k as u32, st, Rat::ZERO)
-                    })
-                })
-                .collect();
-            flush_ends(self.sys, &mut pending, self.obs);
-        }
-
-        Ok(Schedule::new(
-            self.sys,
-            QuantumModel::Dvq,
-            self.m,
-            s.placements,
-        ))
-    }
-
-    /// Assigns free processors to ready subtasks in priority order, then
-    /// announces residual idleness. Honors the bail-out contract: for each
-    /// dispatch, every fallible time conversion runs *before* any side
-    /// effect, so an unrepresentable value aborts with nothing half-done.
-    fn assign_batch(
-        &mut self,
-        s: &mut LoopState<D>,
-        now: D::T,
-        mut carried: Option<(SubtaskRef, Rat)>,
-    ) -> Result<(), Box<Bail>> {
-        // The rational value of `now` is only needed once something is
-        // emitted at this instant (a placement, a bail, an idle report);
-        // pure-drain batches skip the conversion entirely.
-        let mut now_r_slot: Option<Rat> = None;
-        loop {
-            let (st, c) = match carried.take() {
-                Some(p) => p,
-                None => {
-                    if s.free.is_empty() || self.ready.is_empty() {
-                        break;
-                    }
-                    let st = self.ready.pop_best().expect("ready nonempty");
-                    (st, checked_cost(self.cost.cost(self.sys, st), st))
-                }
-            };
-            // Fallible conversions first (completion, successor
-            // eligibility); side effects only once both are in hand.
-            let conv =
-                self.dom
-                    .add_cost(now, c)
-                    .and_then(|completion| match self.sys.subtask(st).succ {
-                        None => Some((completion, None)),
-                        Some(succ) => self
-                            .dom
-                            .int(self.sys.subtask(succ).eligible)
-                            .map(|e| (completion, Some((succ, e)))),
-                    });
-            let Some((completion, succ_at)) = conv else {
-                return Err(Box::new(Bail {
-                    now: lazy_rat(self.dom, now, &mut now_r_slot),
-                    pending: (st, c),
-                    state: migrate_dvq(self.dom, s),
-                }));
-            };
-            let now_r = lazy_rat(self.dom, now, &mut now_r_slot);
-            let Reverse(proc) = s.free.pop().expect("free nonempty in the assignment loop");
-            s.placements.push(Placement {
-                st,
-                proc,
-                start: now_r,
-                cost: c,
-                holds_until: self.dom.to_rat(completion),
-            });
-            s.placed += 1;
-            if O::ENABLED {
-                let sub = self.sys.subtask(st);
-                self.obs.on_event(&SchedEvent::QuantumStart {
-                    id: sub.id,
-                    proc,
-                    start: now_r,
-                    cost: c,
-                    holds_until: self.dom.to_rat(completion),
-                    deadline: sub.deadline,
-                    bbit: sub.bbit,
-                    group_deadline: sub.group_deadline,
-                });
-                s.running[proc as usize] = Some((st, completion));
-            }
-            s.events.push(Reverse(
-                self.dom.ev_key(completion, Event::ProcFree(proc).code()),
-            ));
-            // The successor becomes ready once both eligible and its
-            // predecessor (this subtask) has completed.
-            if let Some((succ, e)) = succ_at {
-                s.events.push(Reverse(
-                    self.dom
-                        .ev_key(e.max(completion), Event::Activate(succ).code()),
-                ));
-            }
-        }
-        if O::ENABLED && !s.free.is_empty() {
-            self.obs.on_event(&SchedEvent::Idle {
-                at: lazy_rat(self.dom, now, &mut now_r_slot),
-                procs: s.free.len() as u32,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// The shared DVQ event loop, generic over the ready-set implementation.
-/// Picks the time tier: tick arithmetic when the cost model's denominator
-/// hint and the event span allow it, exact rationals otherwise — and
-/// migrates tick → exact mid-run on the first unrepresentable value.
+/// The DVQ event loop, generic over the ready-set implementation. Event
+/// times run as ticks at the cost model's denominator hint while every
+/// instant lands on that grid; the [`EventQueue`] switches itself to exact
+/// rationals on the first one that does not.
 fn run_dvq<R: ReadySet, O: Observer>(
     sys: &TaskSystem,
     m: u32,
@@ -619,46 +297,141 @@ fn run_dvq<R: ReadySet, O: Observer>(
     obs: &mut O,
 ) -> Schedule {
     assert!(m >= 1, "need at least one processor");
-    let scale = event_span(sys).and_then(|span| tick_scale(cost.denominator_hint(), span));
-    let bail = if let Some(scale) = scale {
-        let dom = TickTimes { scale };
-        let state = seed_dvq(&dom, sys, m);
-        let mut fast = DvqLoop {
-            dom: &dom,
-            sys,
-            m,
-            ready: &mut ready,
-            cost,
-            obs,
-        };
-        match fast.run_dvq_tier(state, None) {
-            Ok(sched) => return sched,
-            Err(bail) => Some(*bail),
+    let total = sys.num_subtasks();
+    let mut events = EventQueue::new(cost.denominator_hint().and_then(|d| QScale::lcm_of([d])));
+    // Every chain head activates at its eligibility time; every processor
+    // is free at time 0.
+    for task in sys.tasks() {
+        if let Some(head) = sys.task_subtask_refs(task.id).next() {
+            let at = events.int(sys.subtask(head).eligible);
+            events.push(at, Event::Activate(head.0));
         }
-    } else {
-        None
-    };
-    let dom = ExactTimes;
-    let (state, resume) = match bail {
-        Some(Bail {
-            now,
-            pending,
-            state,
-        }) => (state, Some((now, pending))),
-        None => (seed_dvq(&dom, sys, m), None),
-    };
-    let mut exact = DvqLoop {
-        dom: &dom,
-        sys,
-        m,
-        ready: &mut ready,
-        cost,
-        obs,
-    };
-    match exact.run_dvq_tier(state, resume) {
-        Ok(sched) => sched,
-        Err(_) => unreachable!("the exact time domain never bails"),
     }
+    let zero = events.int(0);
+    for k in 0..m {
+        events.push(zero, Event::Proc(k));
+    }
+    // Free processors as a min-heap, so `pop()` serves the lowest index
+    // first (the documented assignment order) in O(log M).
+    let mut free: BinaryHeap<Reverse<u32>> = BinaryHeap::with_capacity(m as usize);
+    // Observability state: the in-flight quantum on each processor
+    // `(subtask, completion)`, for `QuantumEnd` emission when it frees.
+    // Written only when the observer is enabled.
+    let mut running: Vec<Option<(SubtaskRef, Rat)>> = vec![None; m as usize];
+    let mut placements: Vec<Placement> = Vec::with_capacity(total);
+
+    while placements.len() < total {
+        let Some((now, _)) = events.peek() else {
+            // Every unplaced subtask owes the queue either an Activate or
+            // the processor event that will trigger one, so an empty queue
+            // here is a lost-event bug in this driver — abort loudly (also
+            // in release builds) rather than looping forever.
+            panic!(
+                "DVQ event queue drained with only {placed}/{total} subtasks placed: \
+                 an Activate/Proc event was lost (broken successor chain?)",
+                placed = placements.len()
+            );
+        };
+        // The rational value of `now` is only needed once something is
+        // emitted at this instant; pure-drain batches skip the conversion.
+        let mut now_r: Option<Rat> = None;
+        if O::ENABLED {
+            obs.on_event(&SchedEvent::Tick {
+                at: *now_r.get_or_insert_with(|| events.rat(now)),
+            });
+        }
+        // Drain the batch at `now`. The event order (processors ascending,
+        // then activations) makes the emitted stream deterministic too.
+        while let Some(ev) = events.pop_at(now) {
+            match ev {
+                Event::Proc(k) => {
+                    if O::ENABLED {
+                        if let Some((st, completion)) = running[k as usize].take() {
+                            emit_end(sys, st, k, completion, Rat::ZERO, obs);
+                        }
+                    }
+                    free.push(Reverse(k));
+                }
+                Event::Activate(id) => {
+                    let st = SubtaskRef(id);
+                    if O::ENABLED {
+                        let sub = sys.subtask(st);
+                        let at = *now_r.get_or_insert_with(|| events.rat(now));
+                        let cause = if at == Rat::int(sub.eligible) {
+                            ReadyCause::Eligibility
+                        } else {
+                            ReadyCause::Predecessor
+                        };
+                        obs.on_event(&SchedEvent::Ready {
+                            id: sub.id,
+                            at,
+                            cause,
+                        });
+                    }
+                    ready.push(st);
+                }
+            }
+        }
+        // Assign free processors to ready subtasks in priority order.
+        while !free.is_empty() && !ready.is_empty() {
+            let st = ready.pop_best().expect("ready nonempty");
+            let c = checked_cost(cost.cost(sys, st), st);
+            let start = *now_r.get_or_insert_with(|| events.rat(now));
+            let completion = events.after(now, c);
+            let holds_until = events.rat(completion);
+            let Reverse(proc) = free.pop().expect("free nonempty in the assignment loop");
+            placements.push(Placement {
+                st,
+                proc,
+                start,
+                cost: c,
+                holds_until,
+            });
+            if O::ENABLED {
+                let sub = sys.subtask(st);
+                obs.on_event(&SchedEvent::QuantumStart {
+                    id: sub.id,
+                    proc,
+                    start,
+                    cost: c,
+                    holds_until,
+                    deadline: sub.deadline,
+                    bbit: sub.bbit,
+                    group_deadline: sub.group_deadline,
+                });
+                running[proc as usize] = Some((st, holds_until));
+            }
+            events.push(completion, Event::Proc(proc));
+            // The successor becomes ready once both eligible and its
+            // predecessor (this subtask) has completed.
+            if let Some(succ) = sys.subtask(st).succ {
+                let at = events.ready_at(sys.subtask(succ).eligible, completion);
+                events.push(at, Event::Activate(succ.0));
+            }
+        }
+        if O::ENABLED && !free.is_empty() {
+            obs.on_event(&SchedEvent::Idle {
+                at: *now_r.get_or_insert_with(|| events.rat(now)),
+                procs: free.len() as u32,
+            });
+        }
+    }
+
+    if O::ENABLED {
+        // Quanta still in flight when the last subtask was placed:
+        // announce their ends in completion order.
+        let mut pending: Vec<crate::emit::PendingEnd> = running
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(k, slot)| {
+                slot.take()
+                    .map(|(st, completion)| (completion, k as u32, st, Rat::ZERO))
+            })
+            .collect();
+        flush_ends(sys, &mut pending, obs);
+    }
+
+    Schedule::new(sys, QuantumModel::Dvq, m, placements)
 }
 
 #[cfg(test)]

@@ -16,8 +16,8 @@
 //!   synchronized but not aligned, still non-work-conserving.
 //!
 //! Two further engine *families* compete with the Pfair variants under the
-//! same conformance roof (both slot-based, replayed through the shared
-//! `TimeDomain`-generic driver in `slotplay`):
+//! same conformance roof (both slot-based, replayed through one shared
+//! slot-table driver, `slotplay`):
 //!
 //! * [`bf`] — **Boundary-Fair** scheduling (Zhu/Mossé/Melhem, DP-Fair):
 //!   allocation decisions only at period boundaries, McNaughton wrap-around
@@ -66,7 +66,6 @@ pub mod schedule;
 pub mod sfq;
 mod slotplay;
 pub mod staggered;
-mod tdomain;
 
 pub use bf::{bf_boundaries, is_boundary_periodic};
 pub use cost::{CostModel, ExactOnly, FixedCosts, FullQuantum, ScaledCost};

@@ -20,11 +20,11 @@
 //! needs the extra readiness fact "did the predecessor run in slot
 //! `t − 1`" to form its `EB/PB/DB` partition.
 //!
-//! In the workspace's two-tier time representation (see the `dvq` module
-//! docs and `crate::tdomain`), SFQ *is* the integer tier by construction:
-//! every decision instant is an `i64` slot number, so there is no `QTime`
-//! scaling and no bail-out — only placement and completion bookkeeping
-//! ever touch rationals. The hot loop iterates a retained list of tasks
+//! Where the DVQ and staggered loops keep their events in an
+//! `EventQueue` of tick counts (see the `dvq` module docs), SFQ is integral
+//! by construction: every decision instant is an `i64` slot number, so
+//! there is no event queue and no tick scale — only placement and
+//! completion bookkeeping ever touch rationals. The hot loop iterates a retained list of tasks
 //! with unfinished chains rather than rescanning every cursor each slot.
 
 use pfair_core::key::{EpdfKey, KeyCache, KeyDispatch, Pd2Key, PdKey, SubtaskKey};

@@ -13,33 +13,21 @@
 //! *fixed-size* quanta (like SFQ). The waste/reclamation experiment (E5)
 //! runs all three side by side.
 //!
-//! Like the DVQ loop, this driver is generic over a
-//! `TimeDomain`: when the cost model hints its denominator grid, event
-//! times run as `QTime` ticks at `lcm(hint, m)` (boundaries live on the
-//! `1/m` grid) and bail out losslessly to exact [`Rat`]s on the first cost
-//! the scale cannot represent — see the `dvq` module docs for the
-//! bail-out contract.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Like the DVQ loop, this driver keeps its events in a
+//! [`pfair_numeric::EventQueue`] (`Proc(k)` is processor `k`'s quantum
+//! boundary): when the cost model hints its denominator grid, event times
+//! run as ticks at `lcm(hint, m)` (boundaries live on the `1/m` grid) and
+//! switch losslessly to exact [`Rat`]s on the first instant that scale
+//! cannot represent — see the `dvq` module docs.
 
 use pfair_core::priority::PriorityOrder;
-use pfair_numeric::{checked_lcm, Rat, Time};
+use pfair_numeric::{Event, EventQueue, QScale, Rat, Time};
 use pfair_obs::{Observer, ReadyCause, SchedEvent};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
 use crate::cost::{checked_cost, CostModel};
 use crate::emit::{flush_due, flush_ends, PendingEnd};
 use crate::schedule::{Placement, QuantumModel, Schedule};
-use crate::tdomain::{event_span, tick_scale, ExactTimes, TickTimes, TimeDomain};
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Event {
-    /// Processor `k` reached one of its quantum boundaries.
-    Boundary(u32),
-    /// A subtask became ready.
-    Activate(SubtaskRef),
-}
 
 /// Hard liveness check at the end of each batch: with nothing ready and no
 /// activation in flight, the boundary events would respin forever without
@@ -60,253 +48,112 @@ fn check_liveness(
     );
 }
 
-/// The loop state, generic over the time representation so a tick-tier run
-/// can hand its whole progress to the exact tier on a bail. Quantum-end
-/// bookkeeping (`pending_ends`) stays in exact `Rat`s in both tiers: it is
-/// only read by emission, never by the event heap.
-struct StagState<T: Copy + Ord> {
-    events: BinaryHeap<Reverse<(T, Event)>>,
-    pending_activates: usize,
-    ready: Vec<SubtaskRef>,
-    placements: Vec<Placement>,
-    placed: usize,
-    pending_ends: Vec<PendingEnd>,
-}
-
-/// A fast-tier abort mid-batch: the instant, the boundaries not yet served
-/// (descending, so `pop()` resumes in ascending processor order), idle
-/// processors counted so far, the dispatch whose cost was already drawn
-/// (never redrawn — RNG streams stay identical), and the migrated state.
-struct StagBail {
-    now: Rat,
-    rest: Vec<u32>,
-    idle: u32,
-    pending: Option<(SubtaskRef, Rat)>,
-    state: StagState<Time>,
-}
-
-/// The initial loop state in domain `dom`: every chain head activates at
-/// its eligibility time; processor `k`'s first boundary is at `k/m`.
-fn seed_stag<D: TimeDomain>(dom: &D, sys: &TaskSystem, m: u32) -> StagState<D::T> {
-    let mut events = BinaryHeap::new();
+/// Simulates `sys` on `m` processors under the staggered-quantum model:
+/// the driver behind [`Engine::Staggered`](crate::Engine::Staggered).
+///
+/// Processor `k` makes scheduling decisions at times `k/m, k/m + 1, …` and
+/// holds whatever it schedules until its next boundary. Every emission
+/// site is gated by the compile-time `O::ENABLED`.
+pub(crate) fn simulate_staggered<O: Observer>(
+    sys: &TaskSystem,
+    m: u32,
+    order: &dyn PriorityOrder,
+    cost: &mut dyn CostModel,
+    obs: &mut O,
+) -> Schedule {
+    assert!(m >= 1, "need at least one processor");
+    let total = sys.num_subtasks();
+    let scale = cost
+        .denominator_hint()
+        .and_then(|d| QScale::lcm_of([d, i64::from(m)]));
+    let mut events = EventQueue::new(scale);
+    // Every chain head activates at its eligibility time; processor `k`'s
+    // first boundary is at `k/m`.
     let mut pending_activates = 0usize;
     for task in sys.tasks() {
         if let Some(head) = sys.task_subtask_refs(task.id).next() {
-            let e = sys.subtask(head).eligible;
-            let t = dom
-                .int(e)
-                .expect("seed eligibility is within the pre-checked event span");
-            events.push(Reverse((t, Event::Activate(head))));
+            let at = events.int(sys.subtask(head).eligible);
+            events.push(at, Event::Activate(head.0));
             pending_activates += 1;
         }
     }
     for k in 0..m {
-        let b = dom
-            .from_rat(Rat::new(i64::from(k), i64::from(m)))
-            .expect("stagger offsets are on the pre-checked 1/m grid");
-        events.push(Reverse((b, Event::Boundary(k))));
+        let at = events.at(Rat::new(i64::from(k), i64::from(m)));
+        events.push(at, Event::Proc(k));
     }
-    StagState {
-        events,
-        pending_activates,
-        ready: Vec::with_capacity(sys.num_tasks()),
-        placements: Vec::with_capacity(sys.num_subtasks()),
-        placed: 0,
-        pending_ends: Vec::new(),
-    }
-}
+    let mut ready: Vec<SubtaskRef> = Vec::with_capacity(sys.num_tasks());
+    let mut placements: Vec<Placement> = Vec::with_capacity(total);
+    // Quantum ends not yet announced (written only when observed).
+    let mut pending_ends: Vec<PendingEnd> = Vec::new();
+    // This instant's boundary-crossing processors, reused across slots
+    // (descending, served by `pop()`).
+    let mut boundaries: Vec<u32> = Vec::with_capacity(m as usize);
 
-/// Lossless state conversion to the exact tier (`to_rat` is total).
-fn migrate_stag<D: TimeDomain>(dom: &D, s: &mut StagState<D::T>) -> StagState<Time> {
-    StagState {
-        events: s
-            .events
-            .drain()
-            .map(|Reverse((t, ev))| Reverse((dom.to_rat(t), ev)))
-            .collect(),
-        pending_activates: s.pending_activates,
-        ready: std::mem::take(&mut s.ready),
-        placements: std::mem::take(&mut s.placements),
-        placed: s.placed,
-        pending_ends: std::mem::take(&mut s.pending_ends),
-    }
-}
-
-/// A bail-out's mid-batch position: the batch instant, the not-yet-served
-/// boundary processors (descending), the idle count so far, and the
-/// pending dispatch whose cost was already drawn.
-type StagResume = (Rat, Vec<u32>, u32, Option<(SubtaskRef, Rat)>);
-
-/// The borrows one staggered run needs, bundled so the tick and exact
-/// tiers can take them in turn.
-struct StagLoop<'a, D: TimeDomain, O: Observer> {
-    dom: &'a D,
-    sys: &'a TaskSystem,
-    m: u32,
-    order: &'a dyn PriorityOrder,
-    cost: &'a mut dyn CostModel,
-    obs: &'a mut O,
-}
-
-impl<D: TimeDomain, O: Observer> StagLoop<'_, D, O> {
-    /// Runs the event loop to completion in this tier's arithmetic, or
-    /// bails with the exact-tier state. `resume` re-enters a batch a
-    /// previous tier abandoned: its `Tick` and due ends were already
-    /// emitted, and the first dispatch reuses the carried-over cost.
-    fn run_stag_tier(
-        &mut self,
-        mut s: StagState<D::T>,
-        resume: Option<StagResume>,
-    ) -> Result<Schedule, Box<StagBail>> {
-        let total = self.sys.num_subtasks();
-        // This instant's boundary-crossing processors, reused across slots
-        // (descending, served by `pop()`).
-        let mut boundaries: Vec<u32> = Vec::with_capacity(self.m as usize);
-        if let Some((now_r, rest, idle, pending)) = resume {
-            let now = self
-                .dom
-                .from_rat(now_r)
-                .expect("a bail instant is representable in the resuming domain");
-            boundaries = rest;
-            self.serve_boundaries(&mut s, now, &mut boundaries, idle, pending)?;
-            check_liveness(now_r, s.ready.len(), s.pending_activates, s.placed, total);
-        }
-        while s.placed < total {
-            let Some(&Reverse((now, _))) = s.events.peek() else {
-                // Boundary events re-arm themselves while work remains, so
-                // the queue can only drain if this driver lost one — abort
-                // loudly (also in release builds) rather than looping
-                // forever on `placed < total`.
-                panic!(
-                    "staggered event queue drained with only {placed}/{total} subtasks \
-                     placed: a Boundary/Activate event was lost",
-                    placed = s.placed
-                );
-            };
-            let now_r = self.dom.to_rat(now);
-            if O::ENABLED {
-                flush_due(self.sys, &mut s.pending_ends, now_r, self.obs);
-                self.obs.on_event(&SchedEvent::Tick { at: now_r });
-            }
-            boundaries.clear();
-            while let Some(&Reverse((t, ev))) = s.events.peek() {
-                if t != now {
-                    break;
-                }
-                s.events.pop();
-                match ev {
-                    Event::Boundary(k) => boundaries.push(k),
-                    Event::Activate(st) => {
-                        s.pending_activates -= 1;
-                        if O::ENABLED {
-                            let sub = self.sys.subtask(st);
-                            let cause = if self.dom.int(sub.eligible) == Some(now) {
-                                ReadyCause::Eligibility
-                            } else {
-                                ReadyCause::Predecessor
-                            };
-                            self.obs.on_event(&SchedEvent::Ready {
-                                id: sub.id,
-                                at: now_r,
-                                cause,
-                            });
-                        }
-                        s.ready.push(st);
-                    }
-                }
-            }
-            // Descending, so `pop()` serves processors in ascending order.
-            boundaries.sort_unstable_by(|a, b| b.cmp(a));
-            self.serve_boundaries(&mut s, now, &mut boundaries, 0, None)?;
-            check_liveness(now_r, s.ready.len(), s.pending_activates, s.placed, total);
-        }
-
-        if O::ENABLED {
-            flush_ends(self.sys, &mut s.pending_ends, self.obs);
-        }
-
-        Ok(Schedule::new(
-            self.sys,
-            QuantumModel::Staggered,
-            self.m,
-            s.placements,
-        ))
-    }
-
-    /// Serves every boundary crossing at `now` in ascending processor
-    /// order, then announces residual idleness. Honors the bail-out
-    /// contract: each dispatch runs its fallible time conversions *before*
-    /// any side effect, so an unrepresentable value aborts with the batch
-    /// cleanly splittable (served boundaries are done, the rest carry
-    /// over).
-    fn serve_boundaries(
-        &mut self,
-        s: &mut StagState<D::T>,
-        now: D::T,
-        boundaries: &mut Vec<u32>,
-        mut idle_procs: u32,
-        mut carried: Option<(SubtaskRef, Rat)>,
-    ) -> Result<(), Box<StagBail>> {
-        let now_r = self.dom.to_rat(now);
-        // Every served boundary re-arms at `now + 1` (and every placement
-        // holds until then), so convert it once up front.
-        let Some(next_b) = self.dom.add_one(now) else {
-            return Err(Box::new(StagBail {
-                now: now_r,
-                rest: std::mem::take(boundaries),
-                idle: idle_procs,
-                pending: carried,
-                state: migrate_stag(self.dom, s),
-            }));
+    while placements.len() < total {
+        let Some((now, _)) = events.peek() else {
+            // Boundary events re-arm themselves while work remains, so the
+            // queue can only drain if this driver lost one — abort loudly
+            // (also in release builds) rather than looping forever.
+            panic!(
+                "staggered event queue drained with only {placed}/{total} subtasks \
+                 placed: a Boundary/Activate event was lost",
+                placed = placements.len()
+            );
         };
-        while let Some(&proc) = boundaries.last() {
-            let pick = match carried.take() {
-                Some(p) => Some(p),
-                None => s
-                    .ready
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, &a), (_, &b)| self.order.cmp(self.sys, a, b))
-                    .map(|(pos, _)| pos)
-                    .map(|pos| {
-                        let st = s.ready.swap_remove(pos);
-                        (st, checked_cost(self.cost.cost(self.sys, st), st))
-                    }),
-            };
-            if let Some((st, c)) = pick {
-                // Fallible conversion first: the successor's activation
-                // instant `max(eligible, now + c)` is the only event this
-                // dispatch pushes at a cost-dependent time.
-                let conv = match self.sys.subtask(st).succ {
-                    None => Some(None),
-                    Some(succ) => self
-                        .dom
-                        .int(self.sys.subtask(succ).eligible)
-                        .and_then(|e| self.dom.add_cost(now, c).map(|done| (e, done)))
-                        .map(|(e, done)| Some((succ, e.max(done)))),
-                };
-                let Some(succ_at) = conv else {
-                    return Err(Box::new(StagBail {
-                        now: now_r,
-                        rest: std::mem::take(boundaries),
-                        idle: idle_procs,
-                        pending: Some((st, c)),
-                        state: migrate_stag(self.dom, s),
-                    }));
-                };
-                boundaries.pop();
-                let hold = now_r + Rat::ONE;
-                s.placements.push(Placement {
+        let now_r = events.rat(now);
+        if O::ENABLED {
+            flush_due(sys, &mut pending_ends, now_r, obs);
+            obs.on_event(&SchedEvent::Tick { at: now_r });
+        }
+        while let Some(ev) = events.pop_at(now) {
+            match ev {
+                Event::Proc(k) => boundaries.push(k),
+                Event::Activate(id) => {
+                    let st = SubtaskRef(id);
+                    pending_activates -= 1;
+                    if O::ENABLED {
+                        let sub = sys.subtask(st);
+                        let cause = if now_r == Rat::int(sub.eligible) {
+                            ReadyCause::Eligibility
+                        } else {
+                            ReadyCause::Predecessor
+                        };
+                        obs.on_event(&SchedEvent::Ready {
+                            id: sub.id,
+                            at: now_r,
+                            cause,
+                        });
+                    }
+                    ready.push(st);
+                }
+            }
+        }
+        // Descending, so `pop()` serves processors in ascending order.
+        boundaries.sort_unstable_by(|a, b| b.cmp(a));
+        // Every served boundary re-arms at `now + 1`, and every placement
+        // holds until then.
+        let next_b = events.after(now, Rat::ONE);
+        let hold = now_r + Rat::ONE;
+        let mut idle_procs = 0u32;
+        while let Some(proc) = boundaries.pop() {
+            let best = ready
+                .iter()
+                .enumerate()
+                .min_by(|(_, &a), (_, &b)| order.cmp(sys, a, b))
+                .map(|(pos, _)| pos);
+            if let Some(pos) = best {
+                let st = ready.swap_remove(pos);
+                let c = checked_cost(cost.cost(sys, st), st);
+                placements.push(Placement {
                     st,
                     proc,
                     start: now_r,
                     cost: c,
                     holds_until: hold,
                 });
-                s.placed += 1;
                 if O::ENABLED {
-                    let sub = self.sys.subtask(st);
-                    self.obs.on_event(&SchedEvent::QuantumStart {
+                    let sub = sys.subtask(st);
+                    obs.on_event(&SchedEvent::QuantumStart {
                         id: sub.id,
                         proc,
                         start: now_r,
@@ -316,94 +163,44 @@ impl<D: TimeDomain, O: Observer> StagLoop<'_, D, O> {
                         bbit: sub.bbit,
                         group_deadline: sub.group_deadline,
                     });
-                    s.pending_ends.push((now_r + c, proc, st, Rat::ONE - c));
+                    pending_ends.push((now_r + c, proc, st, Rat::ONE - c));
                 }
-                if let Some((succ, at)) = succ_at {
-                    s.events.push(Reverse((at, Event::Activate(succ))));
-                    s.pending_activates += 1;
+                // The successor activates at `max(eligible, now + c)`.
+                if let Some(succ) = sys.subtask(st).succ {
+                    let done = events.after(now, c);
+                    let at = events.ready_at(sys.subtask(succ).eligible, done);
+                    events.push(at, Event::Activate(succ.0));
+                    pending_activates += 1;
                 }
             } else {
-                boundaries.pop();
                 idle_procs += 1;
             }
             // The processor re-examines the world at its next boundary
             // whether or not it scheduled anything.
-            if s.placed < self.sys.num_subtasks() {
-                s.events.push(Reverse((next_b, Event::Boundary(proc))));
+            if placements.len() < total {
+                events.push(next_b, Event::Proc(proc));
             }
         }
         if O::ENABLED && idle_procs > 0 {
-            self.obs.on_event(&SchedEvent::Idle {
+            obs.on_event(&SchedEvent::Idle {
                 at: now_r,
                 procs: idle_procs,
             });
         }
-        Ok(())
+        check_liveness(
+            now_r,
+            ready.len(),
+            pending_activates,
+            placements.len(),
+            total,
+        );
     }
-}
 
-/// Simulates `sys` on `m` processors under the staggered-quantum model:
-/// the driver behind [`Engine::Staggered`](crate::Engine::Staggered).
-///
-/// Processor `k` makes scheduling decisions at times `k/m, k/m + 1, …` and
-/// holds whatever it schedules until its next boundary. Every emission
-/// site is gated by the compile-time `O::ENABLED`. Picks the time tier like the DVQ driver: tick arithmetic at scale
-/// `lcm(hint, m)` when available, exact rationals otherwise — migrating
-/// tick → exact mid-run on the first unrepresentable value.
-pub(crate) fn simulate_staggered<O: Observer>(
-    sys: &TaskSystem,
-    m: u32,
-    order: &dyn PriorityOrder,
-    cost: &mut dyn CostModel,
-    obs: &mut O,
-) -> Schedule {
-    assert!(m >= 1, "need at least one processor");
-    // Boundaries live on the 1/m grid, so fold m into the hint.
-    let hint = cost
-        .denominator_hint()
-        .and_then(|d| checked_lcm(d, i64::from(m)));
-    let scale = event_span(sys).and_then(|span| tick_scale(hint, span));
-    let bail = if let Some(scale) = scale {
-        let dom = TickTimes { scale };
-        let state = seed_stag(&dom, sys, m);
-        let mut fast = StagLoop {
-            dom: &dom,
-            sys,
-            m,
-            order,
-            cost,
-            obs,
-        };
-        match fast.run_stag_tier(state, None) {
-            Ok(sched) => return sched,
-            Err(bail) => Some(*bail),
-        }
-    } else {
-        None
-    };
-    let dom = ExactTimes;
-    let (state, resume) = match bail {
-        Some(StagBail {
-            now,
-            rest,
-            idle,
-            pending,
-            state,
-        }) => (state, Some((now, rest, idle, pending))),
-        None => (seed_stag(&dom, sys, m), None),
-    };
-    let mut exact = StagLoop {
-        dom: &dom,
-        sys,
-        m,
-        order,
-        cost,
-        obs,
-    };
-    match exact.run_stag_tier(state, resume) {
-        Ok(sched) => sched,
-        Err(_) => unreachable!("the exact time domain never bails"),
+    if O::ENABLED {
+        flush_ends(sys, &mut pending_ends, obs);
     }
+
+    Schedule::new(sys, QuantumModel::Staggered, m, placements)
 }
 
 #[cfg(test)]

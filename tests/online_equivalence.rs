@@ -1,10 +1,18 @@
 //! Cross-check: the online heap-based scheduler must produce *exactly*
 //! the schedule of the offline DVQ simulator on identical workloads.
 //!
-//! The two implementations share the window formulas and nothing else —
-//! the offline simulator scans a ready vector with the comparator, the
-//! online one pops a binary heap of static keys — so agreement here
-//! certifies both the `Pd2Key` encoding and the event-loop semantics.
+//! The two implementations share the window formulas and the event queue
+//! (`pfair_numeric::EventQueue`) and nothing else — the offline simulator
+//! pops the deadline-bucketed `BucketReady` queue of precomputed keys, the
+//! online one a binary heap of `Pd2Key`s it derives per submitted job — so
+//! agreement here certifies both the key encodings and the event-loop
+//! semantics.
+//!
+//! Costs come in two regimes. On the generators' 720 720 grid neither
+//! side's queue ever leaves tick mode. With some costs `k/17`, off that
+//! grid, the online queue switches to exact rationals mid-run while the
+//! offline run stays in ticks (`FixedCosts` hints a grid including 17) or
+//! is exact from the start (`ExactOnly`); all must agree.
 
 use std::collections::HashMap;
 
@@ -41,13 +49,31 @@ fn offline_system(weights: &[Weight], jobs_per_task: u64) -> TaskSystem {
     b.build()
 }
 
+/// Per-subtask costs: on the 720 720 grid, or with every fourth subtask
+/// costing `k/17` instead.
+#[derive(Clone, Copy, Debug)]
+enum Costs {
+    Grid,
+    OffGrid,
+}
+
 fn check_equivalence(weights: &[Weight], jobs: u64, m: u32, seed: u64) {
+    for costs in [Costs::Grid, Costs::OffGrid] {
+        check_equivalence_with(weights, jobs, m, seed, costs);
+    }
+}
+
+fn check_equivalence_with(weights: &[Weight], jobs: u64, m: u32, seed: u64, costs: Costs) {
     let sys = offline_system(weights, jobs);
     // Draw per-subtask costs once, deterministically.
     let mut draw = UniformCost::new(Rat::new(1, 3), seed);
     let mut cost_map: HashMap<(u32, u64), Rat> = HashMap::new();
-    for (st, s) in sys.iter_refs() {
-        cost_map.insert((s.id.task.0, s.id.index), draw.cost(&sys, st));
+    for (k, (st, s)) in sys.iter_refs().enumerate() {
+        let mut c = draw.cost(&sys, st);
+        if matches!(costs, Costs::OffGrid) && k % 4 == 1 {
+            c = Rat::new(1 + (seed as i64 + k as i64) % 16, 17);
+        }
+        cost_map.insert((s.id.task.0, s.id.index), c);
     }
     let mut offline_costs = FixedCosts::new(Rat::ONE);
     for (&(task, index), &c) in &cost_map {
@@ -60,11 +86,24 @@ fn check_equivalence(weights: &[Weight], jobs: u64, m: u32, seed: u64) {
         );
     }
 
-    let offline = simulate_dvq(&sys, m, &Pd2, &mut offline_costs);
     let online = run_online(weights, jobs, &cost_map, m);
-
     assert_eq!(online.len(), sys.num_subtasks(), "assignment counts differ");
-    for a in &online {
+    let ticked = simulate_dvq(&sys, m, &Pd2, &mut offline_costs.clone());
+    let exact = simulate_dvq(&sys, m, &Pd2, &mut ExactOnly(&mut offline_costs));
+    for (offline, tier) in [(ticked, "FixedCosts"), (exact, "ExactOnly")] {
+        check_log(&sys, &online, &offline, seed, costs, tier);
+    }
+}
+
+fn check_log(
+    sys: &TaskSystem,
+    online: &[OnlineAssignment],
+    offline: &Schedule,
+    seed: u64,
+    costs: Costs,
+    tier: &str,
+) {
+    for a in online {
         let st = sys
             .find(SubtaskId {
                 task: a.task,
@@ -74,14 +113,14 @@ fn check_equivalence(weights: &[Weight], jobs: u64, m: u32, seed: u64) {
         assert_eq!(
             a.start,
             offline.start(st),
-            "start of T{}_{} differs (seed {seed})",
+            "start of T{}_{} differs (seed {seed}, {costs:?} costs, {tier})",
             a.task.0,
             a.index
         );
         assert_eq!(
             a.proc,
             offline.placement(st).proc,
-            "processor of T{}_{} differs (seed {seed})",
+            "processor of T{}_{} differs (seed {seed}, {costs:?} costs, {tier})",
             a.task.0,
             a.index
         );
