@@ -14,7 +14,6 @@
 //!   that violation, bounded by one quantum, is the paper's subject.
 
 use core::fmt;
-use std::collections::BTreeMap;
 
 use pfair_numeric::{Rat, Time};
 use pfair_sim::{Placement, QuantumModel, Schedule};
@@ -23,6 +22,13 @@ use pfair_taskmodel::{SubtaskRef, TaskSystem};
 /// A violated schedule invariant.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ValidityError {
+    /// A subtask was placed on a processor outside `0..m`.
+    ProcessorOutOfRange {
+        /// The subtask.
+        st: SubtaskRef,
+        /// The processor it was placed on.
+        proc: u32,
+    },
     /// Two quanta overlap on one processor.
     ProcessorOverlap {
         /// The processor.
@@ -78,6 +84,12 @@ pub enum ValidityError {
 impl fmt::Display for ValidityError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ValidityError::ProcessorOutOfRange { st, proc } => {
+                write!(
+                    f,
+                    "{st:?} placed on processor {proc}, outside the schedule's processors"
+                )
+            }
             ValidityError::ProcessorOverlap {
                 proc,
                 first,
@@ -136,6 +148,10 @@ pub fn check_structural(sys: &TaskSystem, sched: &Schedule) -> Vec<ValidityError
     let mut overlaps = Vec::new();
     for p in sched.placements() {
         let Some(prev) = last.get_mut(p.proc as usize) else {
+            errors.push(ValidityError::ProcessorOutOfRange {
+                st: p.st,
+                proc: p.proc,
+            });
             continue;
         };
         if let Some(q) = *prev {
@@ -176,25 +192,28 @@ pub fn check_structural(sys: &TaskSystem, sched: &Schedule) -> Vec<ValidityError
     }
 
     if sched.model() == QuantumModel::Sfq {
-        for p in sched.placements() {
-            if !p.start.is_integer() {
+        // ≤ M per slot (placements have unit holds, so count by start
+        // slot). Placements are sorted by start, so each slot's placements
+        // are one run and the runs come in ascending slot order.
+        let mut over = Vec::new();
+        for run in sched
+            .placements()
+            .chunk_by(|a, b| a.start.floor() == b.start.floor())
+        {
+            for p in run.iter().filter(|p| !p.start.is_integer()) {
                 errors.push(ValidityError::NonIntegralStart {
                     st: p.st,
                     start: p.start,
                 });
             }
-        }
-        // ≤ M per slot (placements have unit holds, so count by start slot).
-        // Counted in slot order, so the errors come back in ascending slots.
-        let mut counts: BTreeMap<i64, usize> = BTreeMap::new();
-        for p in sched.placements() {
-            *counts.entry(p.start.floor()).or_default() += 1;
-        }
-        for (slot, count) in counts {
-            if count > sched.m() as usize {
-                errors.push(ValidityError::TooManyInSlot { slot, count });
+            if run.len() > sched.m() as usize {
+                over.push(ValidityError::TooManyInSlot {
+                    slot: run[0].start.floor(),
+                    count: run.len(),
+                });
             }
         }
+        errors.extend(over);
     }
 
     errors
@@ -352,6 +371,27 @@ mod tests {
             ValidityError::ProcessorOverlap { proc: 0, .. }
         ));
         assert_eq!(overlaps, want);
+    }
+
+    #[test]
+    fn placements_off_the_processor_range_are_reported() {
+        // A valid PD²-SFQ schedule moved onto processor 7 of 2: every
+        // placement is out of range, and nothing else is wrong with it.
+        let sys = fig2_system();
+        let sched = simulate_sfq(&sys, 2, &Pd2, &mut FullQuantum);
+        let moved = sched
+            .placements()
+            .iter()
+            .map(|p| Placement { proc: 7, ..*p })
+            .collect();
+        let moved = Schedule::new(&sys, QuantumModel::Sfq, 2, moved);
+        let errors = check_structural(&sys, &moved);
+        assert_eq!(errors.len(), sys.num_subtasks());
+        for (e, p) in errors.iter().zip(moved.placements()) {
+            assert_eq!(*e, ValidityError::ProcessorOutOfRange { st: p.st, proc: 7 });
+        }
+        let msg = errors[0].to_string();
+        assert!(msg.contains("processor 7"), "{msg}");
     }
 
     #[test]

@@ -12,19 +12,35 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pfair::prelude::*;
 use pfair::taskmodel::window;
 
+/// `Rat` arithmetic per operand class: each class takes a different arm
+/// of the word fast path (integer operand, equal denominators, mixed
+/// word-sized denominators), and `wide` — one operand with a lag-scale
+/// denominator beyond `i64` — takes the `i128` fallback, so its cost
+/// stays visible.
 fn bench_rational(c: &mut Criterion) {
     let mut g = c.benchmark_group("rational");
+    let classes = [
+        ("int", Rat::new(355, 113), Rat::int(7)),
+        ("equal_den", Rat::new(523, 1000), Rat::new(997, 1000)),
+        ("word", Rat::new(355, 113), Rat::new(1_000_003, 720_720)),
+        (
+            "wide",
+            Rat::new_i128(31_415_926_535_897_932_384, 102_866_050_206_919_878_280),
+            Rat::new(1_000_003, 720_720),
+        ),
+    ];
+    for (class, a, b) in classes {
+        g.bench_function(format!("add/{class}"), |bch| {
+            bch.iter(|| std::hint::black_box(a) + std::hint::black_box(b))
+        });
+        g.bench_function(format!("mul/{class}"), |bch| {
+            bch.iter(|| std::hint::black_box(a) * std::hint::black_box(b))
+        });
+        g.bench_function(format!("cmp/{class}"), |bch| {
+            bch.iter(|| std::hint::black_box(a).cmp(&std::hint::black_box(b)))
+        });
+    }
     let a = Rat::new(355, 113);
-    let b = Rat::new(1_000_003, 720_720);
-    g.bench_function("add", |bch| {
-        bch.iter(|| std::hint::black_box(a) + std::hint::black_box(b))
-    });
-    g.bench_function("mul", |bch| {
-        bch.iter(|| std::hint::black_box(a) * std::hint::black_box(b))
-    });
-    g.bench_function("cmp", |bch| {
-        bch.iter(|| std::hint::black_box(a).cmp(&std::hint::black_box(b)))
-    });
     g.bench_function("floor", |bch| bch.iter(|| std::hint::black_box(a).floor()));
     g.finish();
 }

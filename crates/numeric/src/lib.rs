@@ -12,9 +12,10 @@
 //! This crate therefore provides:
 //!
 //! * [`Rat`] — an exact, always-reduced rational number backed by `i128`
-//!   numerator/denominator with gcd-factored checked arithmetic (a
-//!   diagnostic panic only when even the *reduced* result overflows, which
-//!   lag sums on the 720720 cost grid never do);
+//!   numerator/denominator, computing in machine words while every
+//!   component fits `i64` and with gcd-factored checked `i128` arithmetic
+//!   otherwise (a diagnostic panic only when even the *reduced* result
+//!   overflows, which lag sums on the 720720 cost grid never do);
 //! * [`Time`] — a transparent alias of [`Rat`] used for points on the real
 //!   time line, with slot helpers ([`slot_of`], [`is_slot_boundary`]);
 //! * [`QScale`] / [`QTime`] — the overflow-checked fixed-point fast path

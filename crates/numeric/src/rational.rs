@@ -6,10 +6,20 @@
 //! exact; components are stored as `i128` so that lag sums over
 //! GRID-resolution (denominator 720720) cost models — whose reduced
 //! denominators are products of several near-coprime cost numerators and
-//! genuinely exceed `i64` — stay representable. Every operation first
-//! reduces through gcd factoring (Knuth 4.5.1) and only panics, with a
-//! diagnostic message naming the operands, if the *reduced* result still
-//! exceeds `i128`.
+//! genuinely exceed `i64` — stay representable.
+//!
+//! Nearly every value is nevertheless word-sized (cost grids, event times,
+//! window bounds), so `+ − × ÷` and `cmp` run in machine words whenever all
+//! four components fit `i64`: a sum with an integer operand needs no gcd,
+//! other sums use Knuth 4.5.1 gcd factoring over `u64`, products
+//! cross-reduce in words, and a comparison is a numerator compare (equal
+//! denominators, at any width) or two widening `i64 × i64` products. No
+//! word path can overflow, and each yields the reduced form, so results
+//! are bit-identical to the wide path. A component beyond `i64` routes the
+//! operation to its one `i128` fallback (gcd-factored sum, cross-reduced
+//! product, cross-multiplied or continued-fraction comparison), which
+//! panics, with a diagnostic naming the operands, only if the *reduced*
+//! result exceeds `i128`.
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -17,7 +27,7 @@ use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAss
 
 use serde::{Deserialize, Serialize, Value};
 
-use crate::int::gcd_i128;
+use crate::int::{gcd_i128, gcd_u64};
 
 /// An exact rational number `num / den` with `den > 0`, always reduced.
 ///
@@ -242,6 +252,13 @@ impl Rat {
         Rat { num, den }
     }
 
+    /// Both components as machine words, or `None` if either exceeds
+    /// `i64` — the one test that routes an operation to its wide fallback.
+    #[inline]
+    fn words(self) -> Option<(i64, i64)> {
+        Some((i64::try_from(self.num).ok()?, i64::try_from(self.den).ok()?))
+    }
+
     /// Lossy conversion to `f64` (for reporting / plotting only; never used
     /// in scheduling decisions).
     #[must_use]
@@ -271,30 +288,11 @@ impl From<u32> for Rat {
 }
 
 impl Add for Rat {
-    /// Knuth 4.5.1 gcd-factored addition: reduce by `g = gcd(den, den)`
-    /// before cross-multiplying so intermediates stay within `i128`
-    /// whenever the reduced result does.
     type Output = Rat;
     fn add(self, rhs: Rat) -> Rat {
-        let g = gcd_i128(self.den, rhs.den);
-        // g ≥ 1: both denominators are positive.
-        let rd = rhs.den / g;
-        let ld = self.den / g;
-        let num = self
-            .num
-            .checked_mul(rd)
-            .and_then(|l| rhs.num.checked_mul(ld).and_then(|r| l.checked_add(r)));
-        let den = self.den.checked_mul(rd);
-        let (Some(num), Some(den)) = (num, den) else {
-            overflow_panic("+", self, rhs);
-        };
-        let g2 = gcd_i128(num, den);
-        if g2 == 0 {
-            return Rat::ZERO;
-        }
-        Rat {
-            num: num / g2,
-            den: den / g2,
+        match (self.words(), rhs.words()) {
+            (Some(a), Some(b)) => add_words(a, b),
+            _ => add_wide(self, rhs).unwrap_or_else(|| overflow_panic("+", self, rhs)),
         }
     }
 }
@@ -307,20 +305,12 @@ impl Sub for Rat {
 }
 
 impl Mul for Rat {
-    /// Cross-reduced multiplication: `gcd(a.num, b.den)` and
-    /// `gcd(b.num, a.den)` are divided out first, so the result of
-    /// multiplying two reduced rationals is reduced by construction and
-    /// the intermediates are as small as possible.
     type Output = Rat;
     fn mul(self, rhs: Rat) -> Rat {
-        let g1 = gcd_i128(self.num, rhs.den).max(1);
-        let g2 = gcd_i128(rhs.num, self.den).max(1);
-        let num = (self.num / g1).checked_mul(rhs.num / g2);
-        let den = (self.den / g2).checked_mul(rhs.den / g1);
-        let (Some(num), Some(den)) = (num, den) else {
-            overflow_panic("*", self, rhs);
-        };
-        Rat { num, den }
+        match (self.words(), rhs.words()) {
+            (Some(a), Some(b)) => mul_words(a, b),
+            _ => mul_wide(self, rhs).unwrap_or_else(|| overflow_panic("*", self, rhs)),
+        }
     }
 }
 
@@ -330,6 +320,108 @@ impl Div for Rat {
         assert!(rhs.num != 0, "Rat division by zero");
         self * rhs.recip()
     }
+}
+
+/// `a/b + c/d` for reduced operands with machine-word components. Every
+/// intermediate is an `i64` or a widening `i64 × i64` product, so nothing
+/// here can overflow; the result is reduced by construction.
+#[inline]
+fn add_words((an, ad): (i64, i64), (bn, bd): (i64, i64)) -> Rat {
+    // Knuth 4.5.1: with `d1 = gcd(b, d)`, `t = a·(d/d1) + c·(b/d1)` and
+    // `d2 = gcd(t, d1)`, the sum is `(t/d2) / ((b/d1)·(d/d2))`, reduced
+    // (a zero sum has `b = d = d1 = d2`, so it comes out as `0/1`).
+    // Both denominators are in `[1, i64::MAX]`, so the `u64` casts are
+    // exact and `d1` fits `i64`.
+    let d1 = if ad == 1 || bd == 1 {
+        1
+    } else if ad == bd {
+        ad
+    } else {
+        gcd_u64(ad as u64, bd as u64) as i64
+    };
+    if d1 == 1 {
+        // Coprime denominators, an integer operand among them
+        // (`a/b + k = (a + k·b)/b`): no prime of `b·d` divides the sum.
+        return Rat {
+            num: i128::from(an) * i128::from(bd) + i128::from(bn) * i128::from(ad),
+            den: i128::from(ad) * i128::from(bd),
+        };
+    }
+    let (ad1, bd1) = if ad == bd { (1, 1) } else { (ad / d1, bd / d1) };
+    let t = i128::from(an) * i128::from(bd1) + i128::from(bn) * i128::from(ad1);
+    let (num, d2) = match i64::try_from(t) {
+        Ok(t) => {
+            let d2 = gcd_u64((t % d1).unsigned_abs(), d1 as u64) as i64;
+            (i128::from(t / d2), d2)
+        }
+        Err(_) => {
+            let d2 = gcd_u64((t % i128::from(d1)).unsigned_abs() as u64, d1 as u64) as i64;
+            (t / i128::from(d2), d2)
+        }
+    };
+    Rat {
+        num,
+        den: i128::from(ad1) * i128::from(bd / d2),
+    }
+}
+
+/// `(a/b)·(c/d)` for reduced operands with machine-word components:
+/// `gcd(a, d)` and `gcd(c, b)` are divided out first, so the product is
+/// reduced by construction and fits `i128`.
+#[inline]
+fn mul_words((an, ad): (i64, i64), (bn, bd): (i64, i64)) -> Rat {
+    // `x / gcd(x, d)` with `d ∈ [1, i64::MAX]`: the gcd divides `d`, so it
+    // fits `i64` and is positive. `x mod d` keeps the binary gcd short.
+    let reduce = |x: i64, d: i64| {
+        if d == 1 {
+            (x, 1)
+        } else {
+            let g = gcd_u64(x.unsigned_abs() % d as u64, d as u64) as i64;
+            (x / g, g)
+        }
+    };
+    let (an, g1) = reduce(an, bd);
+    let (bn, g2) = reduce(bn, ad);
+    Rat {
+        num: i128::from(an) * i128::from(bn),
+        den: i128::from(ad / g2) * i128::from(bd / g1),
+    }
+}
+
+/// The fallback for a sum with a component beyond `i64`: Knuth 4.5.1
+/// gcd factoring in `i128`, reducing by `gcd(den, den)` before
+/// cross-multiplying so intermediates stay within `i128` whenever the
+/// reduced result does. `None` iff the reduced sum does not fit `i128`.
+#[cold]
+#[inline(never)]
+fn add_wide(a: Rat, b: Rat) -> Option<Rat> {
+    let g = gcd_i128(a.den, b.den);
+    // g ≥ 1: both denominators are positive.
+    let bd = b.den / g;
+    let ad = a.den / g;
+    let num = a.num.checked_mul(bd)?.checked_add(b.num.checked_mul(ad)?)?;
+    let den = a.den.checked_mul(bd)?;
+    let g2 = gcd_i128(num, den);
+    if g2 == 0 {
+        return Some(Rat::ZERO);
+    }
+    Some(Rat {
+        num: num / g2,
+        den: den / g2,
+    })
+}
+
+/// The fallback for a product with a component beyond `i64`:
+/// cross-reduction in `i128`. `None` iff the product does not fit `i128`.
+#[cold]
+#[inline(never)]
+fn mul_wide(a: Rat, b: Rat) -> Option<Rat> {
+    let g1 = gcd_i128(a.num, b.den).max(1);
+    let g2 = gcd_i128(b.num, a.den).max(1);
+    Some(Rat {
+        num: (a.num / g1).checked_mul(b.num / g2)?,
+        den: (a.den / g2).checked_mul(b.den / g1)?,
+    })
 }
 
 impl Neg for Rat {
@@ -374,25 +466,32 @@ impl PartialOrd for Rat {
 
 impl Ord for Rat {
     fn cmp(&self, other: &Rat) -> Ordering {
-        // den > 0 on both sides, so cross-multiplication preserves order.
-        // The products overflow i128 only for lag-scale denominators; fall
-        // back to the exact continued-fraction walk in that (cold) case.
-        match (
-            self.num.checked_mul(other.den),
-            other.num.checked_mul(self.den),
-        ) {
-            (Some(lhs), Some(rhs)) => lhs.cmp(&rhs),
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
+        // den > 0 on both sides, so cross-multiplication preserves order;
+        // two widening `i64 × i64` products cannot overflow `i128`.
+        match (self.words(), other.words()) {
+            (Some((an, ad)), Some((bn, bd))) => {
+                (i128::from(an) * i128::from(bd)).cmp(&(i128::from(bn) * i128::from(ad)))
+            }
             _ => cmp_wide(*self, *other),
         }
     }
 }
 
-/// Exact comparison of two rationals whose cross-products overflow `i128`:
-/// compare signs, then walk the continued-fraction expansions (the integer
-/// parts of `a/b` and `c/d`, then recurse on the reciprocals of the
-/// fractional parts with the ordering flipped). Terminates like the
+/// The fallback for a comparison with a component beyond `i64`:
+/// cross-multiplication in `i128` when neither product overflows, and
+/// otherwise the exact continued-fraction walk — compare signs, then the
+/// integer parts of `a/b` and `c/d`, then recurse on the reciprocals of
+/// the fractional parts with the ordering flipped. Terminates like the
 /// Euclidean algorithm.
+#[cold]
+#[inline(never)]
 fn cmp_wide(a: Rat, b: Rat) -> Ordering {
+    if let (Some(lhs), Some(rhs)) = (a.num.checked_mul(b.den), b.num.checked_mul(a.den)) {
+        return lhs.cmp(&rhs);
+    }
     let sa = a.num.signum();
     let sb = b.num.signum();
     if sa != sb {
@@ -748,6 +847,103 @@ mod tests {
     // guarantees via Display of the tuple.
     fn serde_json_lite(r: &Rat) -> String {
         format!("[{},{}]", r.num(), r.den())
+    }
+
+    fn assert_reduced(r: Rat, what: &str) {
+        assert!(r.den() > 0, "{what} = {r}: denominator not positive");
+        assert_eq!(gcd_i128(r.num(), r.den()), 1, "{what} = {r}: not reduced");
+    }
+
+    /// The operator's result equals the wide path's and is reduced. The
+    /// wide path overflows only past `i64` components, where the operator
+    /// is that same path.
+    fn agrees(what: &str, want: Option<Rat>, got: impl FnOnce() -> Rat, word_sized: bool) {
+        match want {
+            Some(want) => {
+                let got = got();
+                assert_eq!(got, want, "{what}");
+                assert_reduced(got, what);
+            }
+            None => assert!(!word_sized, "{what}: wide path overflowed"),
+        }
+    }
+
+    /// Operands whose reduced components sit on either side of every
+    /// boundary the word fast path distinguishes: 0, ±1, ±2³¹, ±2⁶²,
+    /// `i64::MAX`, `i64::MAX + 1`, 2⁶⁴ ± 1, and lag-scale denominators
+    /// beyond `u64`. Each boundary value is jittered by a seeded splitmix64
+    /// stream (the proptest shim has no `i128` ranges).
+    fn boundary_operands() -> Vec<Rat> {
+        const LAG_DEN: i128 = 102_866_050_206_919_878_280;
+        let bases: [i128; 9] = [
+            0,
+            1,
+            2,
+            1 << 31,
+            1 << 62,
+            i128::from(i64::MAX),
+            1 << 63,
+            1 << 64,
+            LAG_DEN,
+        ];
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut out = Vec::new();
+        for &nb in &bases {
+            for &db in &bases[1..] {
+                for (dn, dd) in [(0, 0), (1, -1), (-1, 1), (1, 1)] {
+                    let den = (db + dd).max(1);
+                    let num = nb + dn;
+                    out.push(Rat::new_i128(num, den));
+                    out.push(Rat::new_i128(-num, den));
+                }
+                // Seeded jitter on both components, and a negative prime
+                // multiple over the boundary less one.
+                let j = i128::from(next() % 1000);
+                out.push(Rat::new_i128(nb + j, db + i128::from(next() % 7)));
+                out.push(Rat::new_i128(-(j + 1) * 7919, db.max(2) - 1));
+            }
+        }
+        out.sort_unstable_by_key(|r| (r.num(), r.den()));
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn word_fast_path_agrees_with_the_wide_path_at_every_boundary() {
+        let ops = boundary_operands();
+        let (mut word, mut wide) = (0, 0);
+        for &a in &ops {
+            for &b in &ops {
+                let word_sized = a.words().is_some() && b.words().is_some();
+                if word_sized {
+                    word += 1;
+                } else {
+                    wide += 1;
+                }
+                agrees(&format!("{a} + {b}"), add_wide(a, b), || a + b, word_sized);
+                agrees(&format!("{a} - {b}"), add_wide(a, -b), || a - b, word_sized);
+                agrees(&format!("{a} * {b}"), mul_wide(a, b), || a * b, word_sized);
+                if !b.is_zero() {
+                    agrees(
+                        &format!("{a} / {b}"),
+                        mul_wide(a, b.recip()),
+                        || a / b,
+                        word_sized,
+                    );
+                }
+                assert_eq!(a.cmp(&b), cmp_wide(a, b), "{a} cmp {b}");
+                assert_eq!(b.cmp(&a), a.cmp(&b).reverse(), "{a} cmp {b}");
+            }
+        }
+        // Both sides of the boundary were exercised, heavily.
+        assert!(word > 10_000 && wide > 10_000, "word {word}, wide {wide}");
     }
 
     proptest! {
